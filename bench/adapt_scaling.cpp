@@ -44,7 +44,6 @@
 #include "apar/common/json.hpp"
 #include "apar/concurrency/parallel_for.hpp"
 #include "apar/concurrency/thread_pool.hpp"
-#include "apar/obs/metrics.hpp"
 #include "apar/sieve/prime_filter.hpp"
 
 namespace adapt = apar::adapt;
@@ -252,10 +251,6 @@ int main(int argc, char** argv) {
   opt.mandel_iters = static_cast<std::size_t>(
       cli.get_int("mandel-iters", static_cast<long long>(opt.mandel_iters)));
   opt.out = cli.get("out", opt.out);
-
-  // The controller reads live threadpool.* series; this bench IS the
-  // opt-in, no env var needed.
-  apar::obs::set_metrics_enabled(true);
 
   const std::size_t w_lo = 1;
   const std::size_t w_hi = opt.max_workers;

@@ -70,7 +70,7 @@ struct MppFarmStack {
   sv::SieveResult run() {
     sv::SieveResult result;
     auto candidates = sv::odd_candidates(config.max);
-    const auto one_way0 = middleware->stats().one_way_calls.load();
+    const auto one_way0 = middleware->stats().one_way_calls.value();
     ac::Stopwatch sw;
     auto p = ctx->create<PrimeFilter>(2LL, sv::isqrt(config.max),
                                       config.ns_per_op);
@@ -81,7 +81,7 @@ struct MppFarmStack {
     result.primes = sv::count_primes_up_to(sv::isqrt(config.max)) +
                     static_cast<long long>(survivors.size());
     result.one_way_messages =
-        middleware->stats().one_way_calls.load() - one_way0;
+        middleware->stats().one_way_calls.value() - one_way0;
     return result;
   }
 

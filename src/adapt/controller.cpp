@@ -32,9 +32,7 @@ AdaptationController::AdaptationController(Config config,
   feeder_gauge_ = registry_->gauge("adapt.feeder_depth");
   routing_gauge_ = registry_->gauge("adapt.routing");
   last_decision_gauge_ = registry_->gauge("adapt.last_decision");
-  ticks_counter_ = registry_->counter("adapt.ticks");
-  decisions_counter_ = registry_->counter("adapt.decisions");
-  reverts_counter_ = registry_->counter("adapt.reverts");
+  stats_.export_as("adapt", {}, *registry_);
 }
 
 AdaptationController::~AdaptationController() { stop(); }
@@ -73,8 +71,7 @@ Signals AdaptationController::sample() {
 
 void AdaptationController::decide(Decision d, std::vector<Decision>& out) {
   out.push_back(d);
-  decision_count_.fetch_add(1, std::memory_order_relaxed);
-  decisions_counter_->add(1);
+  stats_.decisions.add();
   last_decision_.store(static_cast<int>(d), std::memory_order_relaxed);
   last_decision_gauge_->set(static_cast<int>(d));
 }
@@ -96,16 +93,14 @@ void AdaptationController::control_workers(const Signals& s,
         // lock out growth for a while.
         workers_.set(workers_.value() - 1);
         grow_backoff_ = cfg_.backoff_ticks;
-        revert_count_.fetch_add(1, std::memory_order_relaxed);
-        reverts_counter_->add(1);
+        stats_.reverts.add();
         decide(Decision::kRevertGrow, out);
         cooldown_ = cfg_.cooldown_ticks;
       } else if (pending_verify_ == Decision::kShrinkWorkers &&
                  gain < -cfg_.max_loss) {
         workers_.set(workers_.value() + 1);
         shrink_backoff_ = cfg_.backoff_ticks;
-        revert_count_.fetch_add(1, std::memory_order_relaxed);
-        reverts_counter_->add(1);
+        stats_.reverts.add();
         decide(Decision::kRevertShrink, out);
         cooldown_ = cfg_.cooldown_ticks;
       }
@@ -216,8 +211,7 @@ void AdaptationController::control_routing(const Signals& s,
 
 std::vector<Decision> AdaptationController::tick(const Signals& s) {
   std::vector<Decision> out;
-  tick_count_.fetch_add(1, std::memory_order_relaxed);
-  ticks_counter_->add(1);
+  stats_.ticks.add();
   if (!s.valid) return out;
   control_workers(s, out);
   control_grain(s, out);
@@ -251,6 +245,8 @@ void AdaptationController::start() {
     std::lock_guard lock(loop_mutex_);
     stop_requested_ = false;
   }
+  // The controller reads histograms: hold them on while it runs.
+  metrics_hold_.emplace();
   // Prime the window so the first in-loop tick already has a delta.
   window_.advance(*registry_);
   publish_gauges();
@@ -266,6 +262,7 @@ void AdaptationController::stop() {
   }
   loop_cv_.notify_all();
   if (loop_thread_.joinable()) loop_thread_.join();
+  metrics_hold_.reset();
   running_.store(false, std::memory_order_release);
 }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -13,7 +14,7 @@
 
 #include "apar/adapt/knob.hpp"
 #include "apar/aop/signature.hpp"
-#include "apar/obs/metrics.hpp"
+#include "apar/obs/counters.hpp"
 #include "apar/obs/snapshot_window.hpp"
 
 namespace apar::adapt {
@@ -70,6 +71,11 @@ enum class Decision : int {
 /// where queue pressure alone points the wrong way (an oversubscribed
 /// CPU-bound phase shows long queue waits that more workers only make
 /// worse): the pressure heuristic proposes, measured throughput disposes.
+/// The controller's counters, exported as adapt.<field>: control-loop
+/// ticks, decisions taken, and hill-climb reverts.
+#define APAR_ADAPT_STATS_FIELDS(X) X(ticks) X(decisions) X(reverts)
+APAR_OBS_COUNTER_SET(AdaptStats, APAR_ADAPT_STATS_FIELDS);
+
 class AdaptationController {
  public:
   struct Config {
@@ -128,14 +134,12 @@ class AdaptationController {
   }
 
   [[nodiscard]] const Config& config() const { return cfg_; }
-  [[nodiscard]] std::uint64_t ticks() const {
-    return tick_count_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t ticks() const { return stats_.ticks.value(); }
   [[nodiscard]] std::uint64_t decisions() const {
-    return decision_count_.load(std::memory_order_relaxed);
+    return stats_.decisions.value();
   }
   [[nodiscard]] std::uint64_t reverts() const {
-    return revert_count_.load(std::memory_order_relaxed);
+    return stats_.reverts.value();
   }
   [[nodiscard]] Decision last_decision() const {
     return static_cast<Decision>(last_decision_.load(std::memory_order_relaxed));
@@ -176,23 +180,19 @@ class AdaptationController {
   int feeder_cooldown_ = 0;
   int routing_cooldown_ = 0;
 
-  std::atomic<std::uint64_t> tick_count_{0};
-  std::atomic<std::uint64_t> decision_count_{0};
-  std::atomic<std::uint64_t> revert_count_{0};
   std::atomic<int> last_decision_{0};
 
-  // adapt.* gauges/counters: the controller's own observability (rendered
-  // by tools/apar_top.py over the kTelemetry op). Registered at
-  // construction regardless of the APAR_METRICS gate — wiring a controller
-  // is already the opt-in, mirroring ProfilingAspect.
+  // adapt.* series: the controller's own observability (rendered by
+  // tools/apar_top.py over the kTelemetry op) — the knob gauges plus the
+  // exported counters.
   std::shared_ptr<obs::Gauge> workers_gauge_;
   std::shared_ptr<obs::Gauge> grain_gauge_;
   std::shared_ptr<obs::Gauge> feeder_gauge_;
   std::shared_ptr<obs::Gauge> routing_gauge_;
   std::shared_ptr<obs::Gauge> last_decision_gauge_;
-  std::shared_ptr<obs::Counter> ticks_counter_;
-  std::shared_ptr<obs::Counter> decisions_counter_;
-  std::shared_ptr<obs::Counter> reverts_counter_;
+  AdaptStats stats_;
+  /// Held while the loop runs: sample() reads histograms.
+  std::optional<obs::MetricsHold> metrics_hold_;
 
   std::thread loop_thread_;
   std::mutex loop_mutex_;

@@ -131,10 +131,10 @@ class CacheAspect : public aop::Aspect {
   [[nodiscard]] Store& store() { return store_; }
   [[nodiscard]] const CacheStats& stats() const { return store_.stats(); }
   [[nodiscard]] std::uint64_t hits() const {
-    return store_.stats().hits.load(std::memory_order_relaxed);
+    return store_.stats().hits.value();
   }
   [[nodiscard]] std::uint64_t misses() const {
-    return store_.stats().misses.load(std::memory_order_relaxed);
+    return store_.stats().misses.value();
   }
 
   void invalidate_all() { store_.clear(); }

@@ -1,21 +1,15 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
-#include <string>
-
-namespace apar::obs {
-class Counter;
-class Gauge;
-}  // namespace apar::obs
+#include "apar/obs/counters.hpp"
 
 namespace apar::cache {
 
 /// Cache traffic counters, exposed like cluster::MiddlewareStats: one
 /// relaxed atomic per event class so tests and dashboards can assert on
-/// exactly what the cache did. Counter semantics (the contract the
-/// model-based test replays against a reference implementation):
+/// exactly what the cache did, exported as cache.<field>{cache} next to
+/// the cache.entries / cache.bytes levels. Counter semantics (the
+/// contract the model-based test replays against a reference
+/// implementation):
 ///
 ///   gets        lookups of any flavour (get / get_or_compute)
 ///   hits        lookups answered from a live entry
@@ -33,80 +27,9 @@ namespace apar::cache {
 ///
 /// Exactness invariant (asserted by tests/cache):
 ///   gets == hits + misses + coalesced
-struct CacheStats {
-  std::atomic<std::uint64_t> gets{0};
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> coalesced{0};
-  std::atomic<std::uint64_t> inserts{0};
-  std::atomic<std::uint64_t> evictions{0};
-  std::atomic<std::uint64_t> expiries{0};
-  std::atomic<std::uint64_t> erases{0};
-
-  /// Copyable point-in-time view (same pattern as MiddlewareStats: the
-  /// snapshot is the one place that enumerates the fields).
-  struct Snapshot {
-    std::uint64_t gets = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t coalesced = 0;
-    std::uint64_t inserts = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t expiries = 0;
-    std::uint64_t erases = 0;
-
-    Snapshot& operator+=(const Snapshot& other) {
-      gets += other.gets;
-      hits += other.hits;
-      misses += other.misses;
-      coalesced += other.coalesced;
-      inserts += other.inserts;
-      evictions += other.evictions;
-      expiries += other.expiries;
-      erases += other.erases;
-      return *this;
-    }
-    friend Snapshot operator+(Snapshot a, const Snapshot& b) {
-      a += b;
-      return a;
-    }
-    friend bool operator==(const Snapshot&, const Snapshot&) = default;
-  };
-
-  [[nodiscard]] Snapshot snapshot() const {
-    Snapshot s;
-    s.gets = gets.load(std::memory_order_relaxed);
-    s.hits = hits.load(std::memory_order_relaxed);
-    s.misses = misses.load(std::memory_order_relaxed);
-    s.coalesced = coalesced.load(std::memory_order_relaxed);
-    s.inserts = inserts.load(std::memory_order_relaxed);
-    s.evictions = evictions.load(std::memory_order_relaxed);
-    s.expiries = expiries.load(std::memory_order_relaxed);
-    s.erases = erases.load(std::memory_order_relaxed);
-    return s;
-  }
-};
-
-/// MetricsRegistry mirrors of CacheStats, labelled {"cache": <name>}:
-/// cache.hits / cache.misses / cache.coalesced / cache.evictions /
-/// cache.expiries (counters) and cache.entries / cache.bytes (gauges).
-/// All members are null unless obs::metrics_enabled() when make() ran —
-/// the same latched gate every other substrate probe uses, so an
-/// unobserved cache pays one null test per event and registers nothing.
-struct CacheProbes {
-  std::shared_ptr<obs::Counter> hits;
-  std::shared_ptr<obs::Counter> misses;
-  std::shared_ptr<obs::Counter> coalesced;
-  std::shared_ptr<obs::Counter> evictions;
-  std::shared_ptr<obs::Counter> expiries;
-  std::shared_ptr<obs::Gauge> entries;
-  std::shared_ptr<obs::Gauge> bytes;
-
-  [[nodiscard]] bool enabled() const { return hits != nullptr; }
-
-  /// Resolve the probe set for cache `name` from the global registry;
-  /// returns an all-null set when metrics are disabled.
-  static CacheProbes make(const std::string& name);
-};
+#define APAR_CACHE_STATS_FIELDS(X) \
+  X(gets) X(hits) X(misses) X(coalesced) X(inserts) X(evictions) X(expiries) \
+  X(erases)
+APAR_OBS_COUNTER_SET(CacheStats, APAR_CACHE_STATS_FIELDS);
 
 }  // namespace apar::cache

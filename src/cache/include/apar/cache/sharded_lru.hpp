@@ -81,12 +81,12 @@ class ShardedLru {
     /// Monotonic nanosecond clock, only consulted when ttl > 0. Tests
     /// inject a manual clock to script TTL-advance deterministically.
     std::function<std::uint64_t()> now;
-    /// Metric label ({"cache": name}) for the registry mirrors.
+    /// Metric label ({"cache": name}) for the exported series.
     std::string name = "lru";
   };
 
   explicit ShardedLru(Options options)
-      : options_(std::move(options)), probes_(CacheProbes::make(options_.name)) {
+      : options_(std::move(options)) {
     std::size_t n = 1;
     while (n < std::max<std::size_t>(1, options_.shards)) n <<= 1;
     mask_ = n - 1;
@@ -101,6 +101,15 @@ class ShardedLru {
                 std::chrono::steady_clock::now().time_since_epoch())
                 .count());
       };
+    const obs::Labels labels{{"cache", options_.name}};
+    stats_.export_as("cache", labels);
+    auto& registry = obs::MetricsRegistry::global();
+    entries_export_ = registry.export_gauge("cache.entries", labels, [this] {
+      return static_cast<std::int64_t>(size());
+    });
+    bytes_export_ = registry.export_gauge("cache.bytes", labels, [this] {
+      return static_cast<std::int64_t>(bytes());
+    });
   }
 
   ShardedLru(const ShardedLru&) = delete;
@@ -126,7 +135,7 @@ class ShardedLru {
   std::optional<V> get(const K& key) {
     Shard& sh = shard_for(key);
     common::MutexLock lock(sh.mu);
-    stats_.gets.fetch_add(1, std::memory_order_relaxed);
+    stats_.gets.add();
     Node* node = find_live(sh, key);
     if (node == nullptr) {
       count_miss();
@@ -151,7 +160,7 @@ class ShardedLru {
     auto it = sh.map.find(key);
     if (it == sh.map.end()) return false;
     remove_node(sh, &it->second);
-    stats_.erases.fetch_add(1, std::memory_order_relaxed);
+    stats_.erases.add();
     return true;
   }
 
@@ -163,7 +172,7 @@ class ShardedLru {
     std::shared_ptr<InFlight> flight;
     {
       common::MutexLock lock(sh.mu);
-      stats_.gets.fetch_add(1, std::memory_order_relaxed);
+      stats_.gets.add();
       if (Node* node = find_live(sh, key)) {
         touch(sh, node);
         count_hit();
@@ -172,8 +181,7 @@ class ShardedLru {
       auto it = sh.inflight.find(key);
       if (it != sh.inflight.end()) {
         flight = it->second;
-        stats_.coalesced.fetch_add(1, std::memory_order_relaxed);
-        if (probes_.coalesced) probes_.coalesced->add(1);
+        stats_.coalesced.add();
       } else {
         flight = std::make_shared<InFlight>();
         sh.inflight.emplace(key, flight);
@@ -273,10 +281,6 @@ class ShardedLru {
     for (std::size_t i = 0; i <= mask_; ++i) {
       Shard& sh = shards_[i];
       common::MutexLock lock(sh.mu);
-      if (probes_.entries) {
-        probes_.entries->add(-static_cast<std::int64_t>(sh.map.size()));
-        probes_.bytes->add(-static_cast<std::int64_t>(sh.bytes));
-      }
       sh.map.clear();
       sh.head = sh.tail = nullptr;
       sh.bytes = 0;
@@ -331,8 +335,7 @@ class ShardedLru {
     if (it == sh.map.end()) return nullptr;
     if (lapsed(it->second)) {
       remove_node(sh, &it->second);
-      stats_.expiries.fetch_add(1, std::memory_order_relaxed);
-      if (probes_.expiries) probes_.expiries->add(1);
+      stats_.expiries.add();
       return nullptr;
     }
     return &it->second;
@@ -346,8 +349,6 @@ class ShardedLru {
     Node& node = it->second;
     if (!fresh) {
       sh.bytes -= node.charge;
-      if (probes_.bytes)
-        probes_.bytes->add(-static_cast<std::int64_t>(node.charge));
       unlink(sh, &node);
     }
     node.value = std::move(value);
@@ -359,17 +360,12 @@ class ShardedLru {
             : 0;
     link_front(sh, &node);
     sh.bytes += charge;
-    stats_.inserts.fetch_add(1, std::memory_order_relaxed);
-    if (probes_.entries) {
-      if (fresh) probes_.entries->add(1);
-      probes_.bytes->add(static_cast<std::int64_t>(charge));
-    }
+    stats_.inserts.add();
     while (sh.map.size() > cap_entries_ ||
            (cap_bytes_ != 0 && sh.bytes > cap_bytes_)) {
       Node* victim = sh.tail;
       remove_node(sh, victim);
-      stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-      if (probes_.evictions) probes_.evictions->add(1);
+      stats_.evictions.add();
       if (sh.map.empty()) break;
     }
   }
@@ -378,10 +374,6 @@ class ShardedLru {
   void remove_node(Shard& sh, Node* node) APAR_REQUIRES(sh.mu) {
     unlink(sh, node);
     sh.bytes -= node->charge;
-    if (probes_.entries) {
-      probes_.entries->add(-1);
-      probes_.bytes->add(-static_cast<std::int64_t>(node->charge));
-    }
     sh.map.erase(*node->key);
   }
 
@@ -408,21 +400,21 @@ class ShardedLru {
   }
 
   void count_hit() {
-    stats_.hits.fetch_add(1, std::memory_order_relaxed);
-    if (probes_.hits) probes_.hits->add(1);
+    stats_.hits.add();
   }
   void count_miss() {
-    stats_.misses.fetch_add(1, std::memory_order_relaxed);
-    if (probes_.misses) probes_.misses->add(1);
+    stats_.misses.add();
   }
 
   Options options_;
-  CacheProbes probes_;
   std::size_t mask_ = 0;
   std::size_t cap_entries_ = 1;
   std::size_t cap_bytes_ = 0;
   std::unique_ptr<Shard[]> shards_;
   CacheStats stats_;
+  // Last: unlisted before the shards their levels read are destroyed.
+  obs::Export entries_export_;
+  obs::Export bytes_export_;
 };
 
 }  // namespace apar::cache

@@ -15,17 +15,7 @@ FaultInjectingMiddleware::FaultInjectingMiddleware(Middleware& inner,
     : inner_(inner),
       options_(options),
       name_("FaultInjecting(" + std::string(inner.name()) + ")") {
-  if (obs::metrics_enabled()) {
-    auto& registry = obs::MetricsRegistry::global();
-    const auto counter = [&](const char* kind) {
-      return registry.counter("faults.injected",
-                              {{"kind", kind}, {"middleware", name_}});
-    };
-    dropped_counter_ = counter("drop");
-    delayed_counter_ = counter("delay");
-    duplicated_counter_ = counter("duplicate");
-    crash_counter_ = counter("crash");
-  }
+  fault_stats_.export_as("faults", {{"middleware", name_}});
 }
 
 FaultInjectingMiddleware::Action FaultInjectingMiddleware::plan() {
@@ -52,25 +42,14 @@ FaultInjectingMiddleware::Action FaultInjectingMiddleware::plan() {
     action.duplicate = u_dup < options_.duplicate_rate;
   }
 
-  fault_stats_.intercepted.fetch_add(1, std::memory_order_relaxed);
-  if (action.crash) {
-    fault_stats_.crashes.fetch_add(1, std::memory_order_relaxed);
-    if (crash_counter_) crash_counter_->add(1);
-  }
-  if (action.drop) {
-    fault_stats_.dropped.fetch_add(1, std::memory_order_relaxed);
-    if (dropped_counter_) dropped_counter_->add(1);
-  }
+  fault_stats_.intercepted.add();
+  if (action.crash) fault_stats_.crashes.add();
+  if (action.drop) fault_stats_.dropped.add();
   if (action.delay_us > 0) {
-    fault_stats_.delayed.fetch_add(1, std::memory_order_relaxed);
-    fault_stats_.delay_us_total.fetch_add(action.delay_us,
-                                          std::memory_order_relaxed);
-    if (delayed_counter_) delayed_counter_->add(1);
+    fault_stats_.delayed.add();
+    fault_stats_.delay_us_total.add(action.delay_us);
   }
-  if (action.duplicate) {
-    fault_stats_.duplicated.fetch_add(1, std::memory_order_relaxed);
-    if (duplicated_counter_) duplicated_counter_->add(1);
-  }
+  if (action.duplicate) fault_stats_.duplicated.add();
 
   {
     std::lock_guard lock(log_mutex_);

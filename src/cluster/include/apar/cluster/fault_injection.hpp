@@ -14,16 +14,14 @@ namespace apar::cluster {
 
 class Cluster;
 
-/// Fault counters, exposed like MiddlewareStats: one atomic per injected
-/// effect, so tests and dashboards can assert on what was actually done.
-struct FaultStats {
-  std::atomic<std::uint64_t> intercepted{0};  ///< ops a fault decision ran for
-  std::atomic<std::uint64_t> dropped{0};
-  std::atomic<std::uint64_t> delayed{0};
-  std::atomic<std::uint64_t> duplicated{0};
-  std::atomic<std::uint64_t> crashes{0};
-  std::atomic<std::uint64_t> delay_us_total{0};
-};
+/// Fault counters, exposed like MiddlewareStats: one counter per injected
+/// effect (intercepted = ops a fault decision ran for), so tests and
+/// dashboards assert on what was actually done. Exported as
+/// faults.<field>{middleware}.
+#define APAR_FAULT_STATS_FIELDS(X) \
+  X(intercepted) X(dropped) X(delayed) X(duplicated) X(crashes) \
+  X(delay_us_total)
+APAR_OBS_COUNTER_SET(FaultStats, APAR_FAULT_STATS_FIELDS);
 
 /// Fault-injecting decorator over any Middleware — the tested claim that
 /// *testing* concerns compose as pluggable modules exactly like the
@@ -146,14 +144,6 @@ class FaultInjectingMiddleware final : public Middleware {
   std::atomic<bool> armed_{true};
   std::atomic<std::uint64_t> next_index_{0};
   FaultStats fault_stats_;
-
-  // Registry mirrors of FaultStats ("faults.injected" counters, labelled
-  // {"middleware": name, "kind": ...}); null unless obs::metrics_enabled()
-  // at construction.
-  std::shared_ptr<obs::Counter> dropped_counter_;
-  std::shared_ptr<obs::Counter> delayed_counter_;
-  std::shared_ptr<obs::Counter> duplicated_counter_;
-  std::shared_ptr<obs::Counter> crash_counter_;
 
   mutable std::mutex log_mutex_;
   std::vector<Action> log_;

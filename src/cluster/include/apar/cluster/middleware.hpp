@@ -14,76 +14,23 @@
 #include "apar/cluster/cluster.hpp"
 #include "apar/cluster/cost_model.hpp"
 #include "apar/cluster/ids.hpp"
-#include "apar/obs/metrics.hpp"
+#include "apar/obs/counters.hpp"
 #include "apar/serial/archive.hpp"
 
 namespace apar::cluster {
 
-/// Traffic counters, maintained by every middleware implementation.
-/// Every implementation accounts BOTH directions at the same seam: the
-/// marshalled request payload it puts on the (simulated or real) wire goes
-/// into bytes_sent, and whatever payload comes back — a sync reply, a
-/// degraded one-way's echoed reply, or a transport ack — into
-/// bytes_received. tests/cluster/test_middleware_stats.cpp asserts this
-/// parity for every shipped implementation.
-struct MiddlewareStats {
-  std::atomic<std::uint64_t> creates{0};
-  std::atomic<std::uint64_t> sync_calls{0};
-  std::atomic<std::uint64_t> one_way_calls{0};
-  std::atomic<std::uint64_t> bytes_sent{0};
-  std::atomic<std::uint64_t> bytes_received{0};
-  std::atomic<std::uint64_t> lookups{0};
-
-  /// Copyable point-in-time view. The atomic struct itself cannot be
-  /// copied, which previously forced aggregators (HybridMiddleware) to
-  /// sum field-by-field — a new counter silently vanished from the
-  /// aggregate. snapshot()/store() are now the single place that
-  /// enumerates the fields.
-  struct Snapshot {
-    std::uint64_t creates = 0;
-    std::uint64_t sync_calls = 0;
-    std::uint64_t one_way_calls = 0;
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t bytes_received = 0;
-    std::uint64_t lookups = 0;
-
-    Snapshot& operator+=(const Snapshot& other) {
-      creates += other.creates;
-      sync_calls += other.sync_calls;
-      one_way_calls += other.one_way_calls;
-      bytes_sent += other.bytes_sent;
-      bytes_received += other.bytes_received;
-      lookups += other.lookups;
-      return *this;
-    }
-    friend Snapshot operator+(Snapshot a, const Snapshot& b) {
-      a += b;
-      return a;
-    }
-    friend bool operator==(const Snapshot&, const Snapshot&) = default;
-  };
-
-  [[nodiscard]] Snapshot snapshot() const {
-    Snapshot s;
-    s.creates = creates.load(std::memory_order_relaxed);
-    s.sync_calls = sync_calls.load(std::memory_order_relaxed);
-    s.one_way_calls = one_way_calls.load(std::memory_order_relaxed);
-    s.bytes_sent = bytes_sent.load(std::memory_order_relaxed);
-    s.bytes_received = bytes_received.load(std::memory_order_relaxed);
-    s.lookups = lookups.load(std::memory_order_relaxed);
-    return s;
-  }
-
-  /// Overwrite the counters from a snapshot (aggregation views only).
-  void store(const Snapshot& s) {
-    creates.store(s.creates, std::memory_order_relaxed);
-    sync_calls.store(s.sync_calls, std::memory_order_relaxed);
-    one_way_calls.store(s.one_way_calls, std::memory_order_relaxed);
-    bytes_sent.store(s.bytes_sent, std::memory_order_relaxed);
-    bytes_received.store(s.bytes_received, std::memory_order_relaxed);
-    lookups.store(s.lookups, std::memory_order_relaxed);
-  }
-};
+/// Traffic counters, maintained by every middleware implementation and
+/// exported as middleware.<field>{middleware}. Every implementation
+/// accounts BOTH directions at the same seam: the marshalled request
+/// payload it puts on the (simulated or real) wire goes into bytes_sent,
+/// and whatever payload comes back — a sync reply, a degraded one-way's
+/// echoed reply, or a transport ack — into bytes_received.
+/// tests/cluster/test_middleware_stats.cpp asserts this parity for every
+/// shipped implementation.
+#define APAR_MIDDLEWARE_STATS_FIELDS(X) \
+  X(creates) X(sync_calls) X(one_way_calls) X(bytes_sent) X(bytes_received) \
+  X(lookups)
+APAR_OBS_COUNTER_SET(MiddlewareStats, APAR_MIDDLEWARE_STATS_FIELDS);
 
 /// Client-side middleware interface — the seam that lets the distribution
 /// aspect "switch among underlying middleware implementations ... such as
@@ -149,7 +96,9 @@ class SimMiddleware : public Middleware {
         costs_(costs),
         format_(format),
         one_way_(one_way),
-        name_(name) {}
+        name_(name) {
+    stats_.export_as("middleware", {{"middleware", std::string(name_)}});
+  }
 
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] serial::Format wire_format() const override { return format_; }
@@ -176,7 +125,8 @@ class SimMiddleware : public Middleware {
 
   /// Feed per-method invoke latency and request-payload-size histograms
   /// into the global registry, labelled {"middleware": name, "method":
-  /// method} ("new" for creations). Only called when metrics_on_.
+  /// method} ("new" for creations). Only called for calls that started
+  /// with obs::metrics_enabled().
   void record_call_metrics(std::string_view method,
                            std::chrono::steady_clock::time_point started,
                            std::size_t payload_bytes);
@@ -199,9 +149,6 @@ class SimMiddleware : public Middleware {
   bool one_way_;
   std::string_view name_;
   MiddlewareStats stats_;
-  // Latched at construction so the unobserved call path pays one bool test
-  // and no clock reads.
-  const bool metrics_on_ = obs::metrics_enabled();
 };
 
 /// Java-RMI-like middleware: per-call handshake, verbose self-describing
@@ -303,10 +250,10 @@ class HybridMiddleware final : public Middleware {
 
   /// Aggregated view over BOTH backends. Reporting only the control side
   /// silently undercounts hybrid traffic — the fast path is where the bulk
-  /// of the bytes go. Snapshot-based so the aggregation enumerates fields
-  /// in exactly one place (MiddlewareStats::snapshot / store) and cannot
-  /// drift when a counter is added. Per-backend breakdowns remain
-  /// available through control().stats() / fast().stats().
+  /// of the bytes go. Snapshot-based, so a counter added to the field list
+  /// is aggregated too. Not exported: the backends already are.
+  /// Per-backend breakdowns remain available through control().stats() /
+  /// fast().stats().
   [[nodiscard]] const MiddlewareStats& stats() const override {
     agg_stats_.store(control_.stats().snapshot() + fast_.stats().snapshot());
     return agg_stats_;

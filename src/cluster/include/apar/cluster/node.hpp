@@ -90,10 +90,12 @@ class Node {
   std::atomic<bool> stopped_{false};
   std::atomic<bool> crashed_{false};
 
-  // Null unless obs::metrics_enabled() at construction. The mailbox's
-  // depth/throughput series are enabled alongside ("node<N>.mailbox").
+  // node.handled{node} is always exported; node.handle_us records only
+  // while obs::metrics_enabled(). The mailbox exports its own series
+  // ("node<N>.mailbox").
   std::shared_ptr<obs::Histogram> handle_us_;
-  std::shared_ptr<obs::Counter> handled_counter_;
+  obs::Counter handled_;
+  obs::Export handled_export_;  ///< after handled_: unlisted first
 };
 
 }  // namespace apar::cluster

@@ -52,17 +52,17 @@ Reply SimMiddleware::send_and_wait(Message msg) {
   // waiting client thread (it overlaps across threads, occupancy doesn't).
   charge_client_link(reply.payload.size());
   charge_us(costs_.latency_us);
-  stats_.bytes_sent.fetch_add(bytes, std::memory_order_relaxed);
-  stats_.bytes_received.fetch_add(reply.payload.size(),
-                                  std::memory_order_relaxed);
+  stats_.bytes_sent.add(bytes);
+  stats_.bytes_received.add(reply.payload.size());
   if (!reply.error.empty()) throw rpc::RpcError(reply.error);
   return reply;
 }
 
 RemoteHandle SimMiddleware::create(NodeId node, std::string_view class_name,
                                    std::vector<std::byte> ctor_args) {
+  const bool timed = obs::metrics_enabled();
   std::chrono::steady_clock::time_point started{};
-  if (metrics_on_) started = std::chrono::steady_clock::now();
+  if (timed) started = std::chrono::steady_clock::now();
   const std::size_t request_bytes = ctor_args.size();
   charge_client_setup(ctor_args.size());
   Message msg;
@@ -72,17 +72,18 @@ RemoteHandle SimMiddleware::create(NodeId node, std::string_view class_name,
   msg.format = format_;
   msg.deliver_cost_us = costs_.latency_us;
   msg.payload = std::move(ctor_args);
-  stats_.creates.fetch_add(1, std::memory_order_relaxed);
+  stats_.creates.add();
   const Reply reply = send_and_wait(std::move(msg));
-  if (metrics_on_) record_call_metrics("new", started, request_bytes);
+  if (timed) record_call_metrics("new", started, request_bytes);
   return RemoteHandle{node, reply.object};
 }
 
 std::vector<std::byte> SimMiddleware::invoke(const RemoteHandle& target,
                                              std::string_view method,
                                              std::vector<std::byte> args) {
+  const bool timed = obs::metrics_enabled();
   std::chrono::steady_clock::time_point started{};
-  if (metrics_on_) started = std::chrono::steady_clock::now();
+  if (timed) started = std::chrono::steady_clock::now();
   const std::size_t request_bytes = args.size();
   charge_client_setup(args.size());
   Message msg;
@@ -93,9 +94,9 @@ std::vector<std::byte> SimMiddleware::invoke(const RemoteHandle& target,
   msg.format = format_;
   msg.deliver_cost_us = costs_.latency_us;
   msg.payload = std::move(args);
-  stats_.sync_calls.fetch_add(1, std::memory_order_relaxed);
+  stats_.sync_calls.add();
   auto payload = send_and_wait(std::move(msg)).payload;
-  if (metrics_on_) record_call_metrics(method, started, request_bytes);
+  if (timed) record_call_metrics(method, started, request_bytes);
   return payload;
 }
 
@@ -111,8 +112,9 @@ void SimMiddleware::invoke_one_way(const RemoteHandle& target,
   }
   // For a true one-way send the recorded latency is the client-side
   // hand-off (setup + routing), not a round trip.
+  const bool timed = obs::metrics_enabled();
   std::chrono::steady_clock::time_point started{};
-  if (metrics_on_) started = std::chrono::steady_clock::now();
+  if (timed) started = std::chrono::steady_clock::now();
   const std::size_t request_bytes = args.size();
   charge_client_setup(args.size());
   Message msg;
@@ -122,8 +124,8 @@ void SimMiddleware::invoke_one_way(const RemoteHandle& target,
   msg.method = std::string(method);
   msg.format = format_;
   msg.deliver_cost_us = costs_.latency_us;
-  stats_.one_way_calls.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_sent.fetch_add(args.size(), std::memory_order_relaxed);
+  stats_.one_way_calls.add();
+  stats_.bytes_sent.add(args.size());
   msg.payload = std::move(args);
   cluster_.one_way_started();
   if (!cluster_.route(std::move(msg))) {
@@ -131,12 +133,12 @@ void SimMiddleware::invoke_one_way(const RemoteHandle& target,
     // like any other asynchronous one-way error.
     cluster_.one_way_finished("destination node is shut down");
   }
-  if (metrics_on_) record_call_metrics(method, started, request_bytes);
+  if (timed) record_call_metrics(method, started, request_bytes);
 }
 
 std::optional<RemoteHandle> SimMiddleware::lookup(std::string_view name) {
   charge_us(costs_.lookup_us);
-  stats_.lookups.fetch_add(1, std::memory_order_relaxed);
+  stats_.lookups.add();
   return cluster_.name_server().lookup(name);
 }
 

@@ -14,13 +14,12 @@ Node::Node(Cluster& cluster, NodeId id, const rpc::Registry& registry,
       id_(id),
       dispatcher_(registry, "node " + std::to_string(id)) {
   if (executors == 0) executors = 1;
-  if (obs::metrics_enabled()) {
-    mailbox_.enable_metrics("node" + std::to_string(id_) + ".mailbox");
-    auto& reg = obs::MetricsRegistry::global();
-    const obs::Labels labels{{"node", std::to_string(id_)}};
-    handle_us_ = reg.histogram("node.handle_us", labels);
-    handled_counter_ = reg.counter("node.handled", labels);
-  }
+  mailbox_.enable_metrics("node" + std::to_string(id_) + ".mailbox");
+  auto& reg = obs::MetricsRegistry::global();
+  const obs::Labels labels{{"node", std::to_string(id_)}};
+  handle_us_ = reg.histogram("node.handle_us", labels);
+  const obs::CounterField handled[] = {{"handled", &handled_}};
+  handled_export_ = reg.export_counters("node", labels, handled);
   executors_.reserve(executors);
   for (std::size_t i = 0; i < executors; ++i)
     executors_.emplace_back([this] { executor_loop(); });
@@ -70,8 +69,9 @@ void Node::executor_loop() {
 }
 
 void Node::handle(Message& msg) {
+  const bool timed = obs::metrics_enabled();
   std::chrono::steady_clock::time_point started{};
-  if (handle_us_) started = std::chrono::steady_clock::now();
+  if (timed) started = std::chrono::steady_clock::now();
   try {
     if (msg.kind == Message::Kind::kCreate) {
       handle_create(msg);
@@ -89,13 +89,12 @@ void Node::handle(Message& msg) {
       cluster_.one_way_finished(e.what());
     }
   }
-  if (handle_us_) {
+  handled_.add();
+  if (timed)
     handle_us_->record(std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now() - started)
                            .count() /
                        1000.0);
-    handled_counter_->add(1);
-  }
 }
 
 void Node::handle_create(Message& msg) {

@@ -18,14 +18,20 @@
 #include "apar/common/thread_annotations.hpp"
 #include "apar/concurrency/future.hpp"
 #include "apar/concurrency/task.hpp"
-
-namespace apar::obs {
-class Counter;
-class Gauge;
-class Histogram;
-}  // namespace apar::obs
+#include "apar/obs/counters.hpp"
 
 namespace apar::concurrency {
+
+/// ThreadPool counters, exported as threadpool.<field> (process-wide sum
+/// over all pools): task_failures (posted tasks whose exception escaped),
+/// steals, overflow (owner-deque overflows routed to the injection queue),
+/// resizes (resize() calls that changed the target), and tasks run and
+/// their busy_us run time. The last two advance with the run_us histogram,
+/// only while obs::metrics_enabled(): a shared counter bumped by every
+/// task would put a contended write on the scheduler's hot path.
+#define APAR_THREAD_POOL_STATS_FIELDS(X) \
+  X(tasks) X(task_failures) X(steals) X(overflow) X(resizes) X(busy_us)
+APAR_OBS_COUNTER_SET(ThreadPoolStats, APAR_THREAD_POOL_STATS_FIELDS);
 
 namespace detail {
 
@@ -171,11 +177,8 @@ class ThreadPool {
   /// Slot capacity: the largest value resize() accepts.
   [[nodiscard]] std::size_t max_size() const { return slots_.size(); }
 
-  /// Completed resize() calls that changed the target (diagnostic; also
-  /// exported as threadpool.resizes).
-  [[nodiscard]] std::uint64_t resizes() const {
-    return resizes_.load(std::memory_order_relaxed);
-  }
+  /// Completed resize() calls that changed the target.
+  [[nodiscard]] std::uint64_t resizes() const { return stats_.resizes.value(); }
 
   /// Tasks currently queued (diagnostic; racy by nature). Counts the
   /// injection queue AND all worker deques.
@@ -185,19 +188,19 @@ class ThreadPool {
   /// handle their own errors (use submit() to observe them); escapees are
   /// counted here instead of terminating the process.
   [[nodiscard]] std::uint64_t task_failures() const {
-    return task_failures_.load(std::memory_order_relaxed);
+    return stats_.task_failures.value();
   }
 
-  /// Successful steals (diagnostic; also exported as threadpool.steals).
-  [[nodiscard]] std::uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
+  /// Successful steals.
+  [[nodiscard]] std::uint64_t steals() const { return stats_.steals.value(); }
 
-  /// Owner-deque overflows routed to the injection queue (diagnostic; also
-  /// exported as threadpool.overflow).
+  /// Owner-deque overflows routed to the injection queue.
   [[nodiscard]] std::uint64_t overflows() const {
-    return overflows_.load(std::memory_order_relaxed);
+    return stats_.overflow.value();
   }
+
+  /// Every counter at once (the set exported as threadpool.*).
+  [[nodiscard]] const ThreadPoolStats& stats() const { return stats_; }
 
   /// Block until no task is queued anywhere and all workers are idle.
   void drain();
@@ -238,7 +241,6 @@ class ThreadPool {
   /// Worker-count target; slots [0, target) are live, the rest retired or
   /// never started. Written under resize_mutex_ only.
   std::atomic<std::size_t> target_size_{0};
-  std::atomic<std::uint64_t> resizes_{0};
   /// Serialises resize() against itself and the destructor's final join.
   std::mutex resize_mutex_;
 
@@ -270,29 +272,18 @@ class ThreadPool {
   std::atomic<std::int64_t> active_{0};
   std::atomic<bool> stopping_{false};
 
-  std::atomic<std::uint64_t> task_failures_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> overflows_{0};
-
-  // Registry probes, created at construction only when obs::metrics_enabled()
-  // — null means every instrumentation branch below is a single pointer
-  // test, keeping the fig16 overhead claim honest with metrics unset.
-  // Series (process-wide aggregate over all pools):
-  //   threadpool.queue_depth (gauge), threadpool.workers (gauge),
-  //   threadpool.wait_us / threadpool.queue_wait / threadpool.run_us
-  //   (histograms; queue_wait is the submit→start gap, the
-  //   AdaptationAspect's key signal),
-  //   threadpool.tasks / threadpool.busy_us (counters),
-  //   threadpool.steals / threadpool.overflow (counters).
-  std::shared_ptr<obs::Gauge> queue_depth_;
-  std::shared_ptr<obs::Gauge> workers_gauge_;
+  // Series (process-wide sums over all pools): the counters above, the
+  // levels threadpool.workers (size()) and threadpool.queue_depth (tasks
+  // accepted but not yet claimed), and the histograms threadpool.wait_us /
+  // threadpool.queue_wait (the submit→start gap, the AdaptationAspect's key
+  // signal) / threadpool.run_us, which record only while
+  // obs::metrics_enabled().
   std::shared_ptr<obs::Histogram> wait_us_;
   std::shared_ptr<obs::Histogram> queue_wait_us_;
   std::shared_ptr<obs::Histogram> run_us_;
-  std::shared_ptr<obs::Counter> tasks_counter_;
-  std::shared_ptr<obs::Counter> busy_us_counter_;
-  std::shared_ptr<obs::Counter> steals_counter_;
-  std::shared_ptr<obs::Counter> overflow_counter_;
+  ThreadPoolStats stats_;
+  obs::Export workers_export_;  ///< last: unlisted before the pool dies
+  obs::Export queue_depth_export_;
 };
 
 }  // namespace apar::concurrency

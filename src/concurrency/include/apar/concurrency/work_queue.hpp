@@ -11,9 +11,12 @@
 #include <utility>
 #include <vector>
 
-#include "apar/obs/metrics.hpp"
+#include "apar/obs/counters.hpp"
 
 namespace apar::concurrency {
+
+#define APAR_WORK_QUEUE_STATS_FIELDS(X) X(pushed) X(popped)
+APAR_OBS_COUNTER_SET(WorkQueueStats, APAR_WORK_QUEUE_STATS_FIELDS);
 
 /// Blocking multi-producer / multi-consumer queue.
 ///
@@ -29,18 +32,18 @@ class WorkQueue {
   WorkQueue(const WorkQueue&) = delete;
   WorkQueue& operator=(const WorkQueue&) = delete;
 
-  /// Feed depth/throughput series for this queue into the global metrics
-  /// registry, labelled {"queue": name}. No-op (and the push/pop paths stay
-  /// probe-free) unless obs::metrics_enabled(). Call before producers and
-  /// consumers start.
+  /// List this queue's series in the global metrics registry, labelled
+  /// {"queue": name}: workqueue.pushed / workqueue.popped (the counters
+  /// stats() reports, always kept) and workqueue.depth (size()).
   void enable_metrics(const std::string& name) {
-    if (!obs::metrics_enabled()) return;
-    auto& registry = obs::MetricsRegistry::global();
     const obs::Labels labels{{"queue", name}};
-    depth_ = registry.gauge("workqueue.depth", labels);
-    pushed_ = registry.counter("workqueue.pushed", labels);
-    popped_ = registry.counter("workqueue.popped", labels);
+    stats_.export_as("workqueue", labels);
+    depth_export_ = obs::MetricsRegistry::global().export_gauge(
+        "workqueue.depth", labels,
+        [this] { return static_cast<std::int64_t>(size()); });
   }
+
+  [[nodiscard]] const WorkQueueStats& stats() const { return stats_; }
 
   /// Push an item; returns false (drops the item) if the queue is closed.
   bool push(T item) {
@@ -49,10 +52,7 @@ class WorkQueue {
       if (closed_) return false;
       items_.push_back(std::move(item));
     }
-    if (depth_) {
-      depth_->add(1);
-      pushed_->add(1);
-    }
+    stats_.pushed.add();
     cv_.notify_one();
     return true;
   }
@@ -74,10 +74,7 @@ class WorkQueue {
         items_.push_back(std::move(item));
     }
     items.clear();
-    if (depth_) {
-      depth_->add(static_cast<std::int64_t>(n));
-      pushed_->add(n);
-    }
+    stats_.pushed.add(n);
     if (n == 1)
       cv_.notify_one();
     else
@@ -101,10 +98,7 @@ class WorkQueue {
         items_.pop_front();
       }
     }
-    if (depth_ && !out.empty()) {
-      depth_->add(-static_cast<std::int64_t>(out.size()));
-      popped_->add(out.size());
-    }
+    stats_.popped.add(out.size());
     return out;
   }
 
@@ -116,10 +110,7 @@ class WorkQueue {
     T item = std::move(items_.front());
     items_.pop_front();
     lock.unlock();
-    if (depth_) {
-      depth_->add(-1);
-      popped_->add(1);
-    }
+    stats_.popped.add();
     return item;
   }
 
@@ -132,10 +123,7 @@ class WorkQueue {
       item = std::move(items_.front());
       items_.pop_front();
     }
-    if (depth_) {
-      depth_->add(-1);
-      popped_->add(1);
-    }
+    stats_.popped.add();
     return item;
   }
 
@@ -159,7 +147,6 @@ class WorkQueue {
       closed_ = true;
       dropped.swap(items_);
     }
-    if (depth_) depth_->add(-static_cast<std::int64_t>(dropped.size()));
     cv_.notify_all();
     return dropped;
   }
@@ -180,10 +167,8 @@ class WorkQueue {
   std::deque<T> items_;
   bool closed_ = false;
 
-  // Null unless enable_metrics() ran with metrics enabled.
-  std::shared_ptr<obs::Gauge> depth_;
-  std::shared_ptr<obs::Counter> pushed_;
-  std::shared_ptr<obs::Counter> popped_;
+  WorkQueueStats stats_;
+  obs::Export depth_export_;  ///< last: unlisted before size() can dangle
 };
 
 }  // namespace apar::concurrency

@@ -106,8 +106,10 @@ ThreadPool::TaskNode* ThreadPool::make_node(Task task) {
   node->task = std::move(task);
   node->ctx =
       obs::tracing_enabled() ? obs::current_context() : obs::TraceContext{};
-  if (wait_us_ || node->ctx.valid())
-    node->enqueued = std::chrono::steady_clock::now();
+  // A recycled node must not carry an old timestamp into run_node.
+  node->enqueued = obs::metrics_enabled() || node->ctx.valid()
+                       ? std::chrono::steady_clock::now()
+                       : std::chrono::steady_clock::time_point{};
   return node;
 }
 
@@ -134,19 +136,18 @@ ThreadPool::ThreadPool(std::size_t threads, std::size_t max_threads) {
   if (threads == 0) threads = 1;
   if (max_threads == 0) max_threads = std::max<std::size_t>(threads * 2, 8);
   max_threads = std::max(max_threads, threads);
-  if (obs::metrics_enabled()) {
-    auto& registry = obs::MetricsRegistry::global();
-    queue_depth_ = registry.gauge("threadpool.queue_depth");
-    workers_gauge_ = registry.gauge("threadpool.workers");
-    wait_us_ = registry.histogram("threadpool.wait_us");
-    queue_wait_us_ = registry.histogram("threadpool.queue_wait");
-    run_us_ = registry.histogram("threadpool.run_us");
-    tasks_counter_ = registry.counter("threadpool.tasks");
-    busy_us_counter_ = registry.counter("threadpool.busy_us");
-    steals_counter_ = registry.counter("threadpool.steals");
-    overflow_counter_ = registry.counter("threadpool.overflow");
-    workers_gauge_->add(static_cast<std::int64_t>(threads));
-  }
+  auto& registry = obs::MetricsRegistry::global();
+  wait_us_ = registry.histogram("threadpool.wait_us");
+  queue_wait_us_ = registry.histogram("threadpool.queue_wait");
+  run_us_ = registry.histogram("threadpool.run_us");
+  stats_.export_as("threadpool", {});
+  workers_export_ = registry.export_gauge("threadpool.workers", {}, [this] {
+    return static_cast<std::int64_t>(size());
+  });
+  queue_depth_export_ =
+      registry.export_gauge("threadpool.queue_depth", {}, [this] {
+        return pending_count_.load(std::memory_order_relaxed);
+      });
   // Every slot the pool can ever use is allocated NOW, so resize() never
   // reallocates slots_ — thieves iterate it without synchronising against
   // growth. Slots beyond the initial target sit idle (an empty deque is a
@@ -183,9 +184,6 @@ ThreadPool::~ThreadPool() {
     list = node->next;
     delete node;
   }
-  if (workers_gauge_)
-    workers_gauge_->add(
-        -static_cast<std::int64_t>(target_size_.load(std::memory_order_acquire)));
 }
 
 std::size_t ThreadPool::resize(std::size_t n) {
@@ -223,10 +221,7 @@ std::size_t ThreadPool::resize(std::size_t n) {
     }
     sleep_cv_.notify_all();
   }
-  resizes_.fetch_add(1, std::memory_order_relaxed);
-  if (workers_gauge_)
-    workers_gauge_->add(static_cast<std::int64_t>(n) -
-                        static_cast<std::int64_t>(old));
+  stats_.resizes.add();
   return n;
 }
 
@@ -247,7 +242,6 @@ void ThreadPool::post_node(TaskNode* node) {
     idle_cv_.notify_all();
     throw std::runtime_error("ThreadPool is shutting down");
   }
-  if (queue_depth_) queue_depth_->add(1);
   enqueue_node(node);
   wake_one();
 }
@@ -255,8 +249,7 @@ void ThreadPool::post_node(TaskNode* node) {
 void ThreadPool::enqueue_node(TaskNode* node) {
   if (tls_worker.pool == this) {
     if (slots_[tls_worker.index]->deque.push(node)) return;
-    overflows_.fetch_add(1, std::memory_order_relaxed);
-    if (overflow_counter_) overflow_counter_->add(1);
+    stats_.overflow.add();
   }
   common::MutexLock lock(inject_mutex_);
   inject_.push_back(node);
@@ -276,7 +269,6 @@ void ThreadPool::bulk_post(std::span<Task> tasks) {
     idle_cv_.notify_all();
     throw std::runtime_error("ThreadPool is shutting down");
   }
-  if (queue_depth_) queue_depth_->add(n);
   if (tls_worker.pool == this) {
     // Seed our own deque (lock-free); spill the rest under one lock.
     auto& deque = slots_[tls_worker.index]->deque;
@@ -284,8 +276,7 @@ void ThreadPool::bulk_post(std::span<Task> tasks) {
     for (auto& task : tasks) {
       TaskNode* node = make_node(std::move(task));
       if (!deque.push(node)) {
-        overflows_.fetch_add(1, std::memory_order_relaxed);
-        if (overflow_counter_) overflow_counter_->add(1);
+        stats_.overflow.add();
         spill.push_back(node);
       }
     }
@@ -336,8 +327,7 @@ ThreadPool::TaskNode* ThreadPool::steal_task(std::size_t self_index) {
       const std::size_t victim = (start + i) % n;
       if (victim == self_index) continue;
       if (TaskNode* node = slots_[victim]->deque.steal()) {
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        if (steals_counter_) steals_counter_->add(1);
+        stats_.steals.add();
         return node;
       }
     }
@@ -357,11 +347,13 @@ void ThreadPool::run_node(TaskNode* node) {
   // idle predicate (pending == 0 && active == 0).
   active_.fetch_add(1, std::memory_order_seq_cst);
   pending_count_.fetch_sub(1, std::memory_order_seq_cst);
-  if (queue_depth_) queue_depth_->add(-1);
+  // Histograms follow the switch as it is now; a task posted before it
+  // flipped on has no enqueue time and records no wait.
+  const bool timed = obs::metrics_enabled();
   std::chrono::steady_clock::time_point started{};
-  if (wait_us_ || node->ctx.valid())
+  if (timed || node->ctx.valid())
     started = std::chrono::steady_clock::now();
-  if (wait_us_) {
+  if (timed && node->enqueued != std::chrono::steady_clock::time_point{}) {
     const double us = std::chrono::duration_cast<std::chrono::nanoseconds>(
                           started - node->enqueued)
                           .count() /
@@ -398,16 +390,16 @@ void ThreadPool::run_node(TaskNode* node) {
       node->task();
     }
   } catch (...) {
-    task_failures_.fetch_add(1, std::memory_order_relaxed);
+    stats_.task_failures.add();
   }
-  if (run_us_) {
+  if (timed) {
     const double us = std::chrono::duration_cast<std::chrono::nanoseconds>(
                           std::chrono::steady_clock::now() - started)
                           .count() /
                       1000.0;
     run_us_->record(us);
-    tasks_counter_->add(1);
-    busy_us_counter_->add(static_cast<std::uint64_t>(us));
+    stats_.tasks.add();
+    stats_.busy_us.add(static_cast<std::uint64_t>(us));
   }
   destroy_node(node);
   if (active_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&

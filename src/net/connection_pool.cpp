@@ -15,16 +15,13 @@ ConnectionPool::Checkout ConnectionPool::acquire(const Endpoint& endpoint,
     }
     // Validate outside the lock: idle_and_healthy polls the fd.
     if (candidate.idle_and_healthy()) {
-      std::lock_guard lock(mutex_);
-      ++stats_.reuses;
+      stats_.reuses.add();
       return {std::move(candidate), true};
     }
-    std::lock_guard lock(mutex_);
-    ++stats_.discards;
+    stats_.discards.add();
   }
   Socket fresh = dial(endpoint, deadline);
-  std::lock_guard lock(mutex_);
-  ++stats_.dials;
+  stats_.dials.add();
   return {std::move(fresh), false};
 }
 
@@ -44,7 +41,7 @@ std::size_t ConnectionPool::evict(const Endpoint& endpoint) {
     if (it == idle_.end()) return 0;
     victims = std::move(it->second);
     idle_.erase(it);
-    stats_.evictions += victims.size();
+    stats_.evictions.add(victims.size());
   }
   // victims close outside the lock
   return victims.size();
@@ -53,11 +50,6 @@ std::size_t ConnectionPool::evict(const Endpoint& endpoint) {
 void ConnectionPool::clear() {
   std::lock_guard lock(mutex_);
   idle_.clear();
-}
-
-ConnectionPool::Stats ConnectionPool::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
 }
 
 std::size_t ConnectionPool::idle_count(const Endpoint& endpoint) const {

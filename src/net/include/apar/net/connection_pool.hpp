@@ -1,14 +1,22 @@
 #pragma once
 
-#include <chrono>
-#include <cstdint>
 #include <map>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "apar/net/socket.hpp"
+#include "apar/obs/counters.hpp"
 
 namespace apar::net {
+
+/// ConnectionPool counters, exported as net.pool.<field>{pool}. dials:
+/// fresh connections established; reuses: healthy idle connections handed
+/// out; discards: stale idle connections thrown away; evictions: idle
+/// connections dropped by evict().
+#define APAR_CONNECTION_POOL_STATS_FIELDS(X) \
+  X(dials) X(reuses) X(discards) X(evictions)
+APAR_OBS_COUNTER_SET(ConnectionPoolStats, APAR_CONNECTION_POOL_STATS_FIELDS);
 
 /// Per-endpoint pool of idle TCP connections. Checkout order:
 ///
@@ -23,15 +31,13 @@ namespace apar::net {
 /// failed mid-way) must simply be dropped, which closes it.
 class ConnectionPool {
  public:
-  struct Stats {
-    std::uint64_t dials = 0;    ///< fresh connections established
-    std::uint64_t reuses = 0;   ///< healthy idle connections handed out
-    std::uint64_t discards = 0; ///< stale idle connections thrown away
-    std::uint64_t evictions = 0; ///< idle connections dropped by evict()
-  };
+  using Stats = ConnectionPoolStats::Snapshot;
 
-  explicit ConnectionPool(std::size_t max_idle_per_endpoint = 8)
-      : max_idle_(max_idle_per_endpoint) {}
+  explicit ConnectionPool(const std::string& name = "pool",
+                          std::size_t max_idle_per_endpoint = 8)
+      : max_idle_(max_idle_per_endpoint) {
+    stats_.export_as("net.pool", {{"pool", name}});
+  }
 
   /// What acquire() handed out: the connection plus whether it was a
   /// reused idle one (callers count fresh dials as connects/reconnects).
@@ -58,14 +64,14 @@ class ConnectionPool {
   /// Drop every idle connection.
   void clear();
 
-  [[nodiscard]] Stats stats() const;
+  [[nodiscard]] Stats stats() const { return stats_.snapshot(); }
   [[nodiscard]] std::size_t idle_count(const Endpoint& endpoint) const;
 
  private:
   const std::size_t max_idle_;
   mutable std::mutex mutex_;
   std::map<Endpoint, std::vector<Socket>> idle_;
-  Stats stats_;
+  ConnectionPoolStats stats_;
 };
 
 }  // namespace apar::net

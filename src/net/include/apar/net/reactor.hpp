@@ -12,8 +12,23 @@
 #include "apar/concurrency/thread_pool.hpp"
 #include "apar/net/frame.hpp"
 #include "apar/net/socket.hpp"
+#include "apar/obs/counters.hpp"
 
 namespace apar::net {
+
+/// A server's wire and request accounting, owned by TcpServer and exported
+/// as net.server.<field>{server}; stats() and a kTelemetry scrape read the
+/// same counters. Byte counts include frame headers. In reactor mode the
+/// event loop counts the wire side, including the reactor-only fields
+/// (rejected: closed at accept, over max_connections; backpressure_pauses:
+/// read-pause transitions; idle_closed; slow_closed: stalled-write
+/// evictions), which stay 0 in thread mode. dispatch_errors counts requests
+/// answered kReplyError.
+#define APAR_SERVER_STATS_FIELDS(X)                                        \
+  X(accepted) X(rejected) X(frames_in) X(frames_out) X(bytes_in)           \
+  X(bytes_out) X(protocol_errors) X(dispatch_errors) X(chaos_dropped)      \
+  X(chaos_stalled) X(backpressure_pauses) X(idle_closed) X(slow_closed)
+APAR_OBS_COUNTER_SET(ServerStats, APAR_SERVER_STATS_FIELDS);
 
 /// What the dispatch handler decided about one request frame: either a
 /// reply to queue back on the connection, or (chaos only) an instruction
@@ -74,20 +89,6 @@ class Reactor {
     int sndbuf_bytes = 0;
   };
 
-  /// Copyable snapshot of the loop's accounting.
-  struct Stats {
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected = 0;  ///< closed at accept: over max_connections
-    std::uint64_t frames_in = 0;
-    std::uint64_t frames_out = 0;
-    std::uint64_t bytes_in = 0;
-    std::uint64_t bytes_out = 0;
-    std::uint64_t protocol_errors = 0;
-    std::uint64_t backpressure_pauses = 0;  ///< read-pause transitions
-    std::uint64_t idle_closed = 0;
-    std::uint64_t slow_closed = 0;  ///< evicted for stalled writes
-  };
-
   /// Runs on a pool worker with the decoded request; must not block on
   /// the requesting connection (it owns no socket).
   using Handler =
@@ -95,9 +96,11 @@ class Reactor {
 
   /// The listener must outlive the reactor and stay open until stop()
   /// returns; `pool` executes handlers and is shared with the rest of the
-  /// server. `label` names the APAR_METRICS probes ({"server", label}).
+  /// server; the loop counts into the server's `stats`. `label` names the
+  /// reactor's own series ({"server", label}): the open-connections level
+  /// and the queue-depth histogram.
   Reactor(Listener& listener, concurrency::ThreadPool& pool, Handler handler,
-          Options options, std::string label);
+          Options options, ServerStats& stats, const std::string& label);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -108,7 +111,6 @@ class Reactor {
   /// everything, join the loop thread. Idempotent.
   void stop();
 
-  [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t open_connections() const;
 
  private:

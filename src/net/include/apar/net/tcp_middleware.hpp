@@ -13,13 +13,19 @@
 #include "apar/net/connection_pool.hpp"
 #include "apar/net/frame.hpp"
 #include "apar/net/socket.hpp"
-
-namespace apar::obs {
-class Counter;
-class Histogram;
-}  // namespace apar::obs
+#include "apar/obs/counters.hpp"
 
 namespace apar::net {
+
+/// TcpMiddleware's wire-level accounting, exported as net.<field>
+/// {middleware}: frame bytes INCLUDING headers, where the inherited
+/// MiddlewareStats counts payload bytes only, mirroring what the simulated
+/// middlewares charge. connects: fresh dials; reconnects: dials after the
+/// first, per endpoint; retries: lookup retry attempts.
+#define APAR_NET_STATS_FIELDS(X)                                      \
+  X(connects) X(reconnects) X(retries) X(frames_sent) X(frames_received) \
+  X(wire_bytes_sent) X(wire_bytes_received)
+APAR_OBS_COUNTER_SET(NetStats, APAR_NET_STATS_FIELDS);
 
 /// cluster::Middleware over real TCP sockets — the point of the subsystem:
 /// DistributionAspect, FaultInjectingMiddleware and HybridMiddleware
@@ -68,18 +74,8 @@ class TcpMiddleware final : public cluster::Middleware {
     std::string name = "TCP";
   };
 
-  /// Wire-level accounting (frame bytes INCLUDING headers; the inherited
-  /// MiddlewareStats counts payload bytes only, mirroring what the
-  /// simulated middlewares charge). Copyable snapshot.
-  struct NetCounters {
-    std::uint64_t connects = 0;     ///< fresh dials
-    std::uint64_t reconnects = 0;   ///< dials after the first, per endpoint
-    std::uint64_t retries = 0;      ///< lookup retry attempts
-    std::uint64_t frames_sent = 0;
-    std::uint64_t frames_received = 0;
-    std::uint64_t wire_bytes_sent = 0;
-    std::uint64_t wire_bytes_received = 0;
-  };
+  /// Copyable snapshot of the wire-level accounting.
+  using NetCounters = NetStats::Snapshot;
 
   explicit TcpMiddleware(Options options);
 
@@ -118,15 +114,17 @@ class TcpMiddleware final : public cluster::Middleware {
 
   /// Fetch the node's kTelemetry snapshot: metrics-registry JSON plus
   /// server counters, optionally including (and optionally flushing) the
-  /// node's tagged trace buffer. Returns the server's raw JSON string.
+  /// node's tagged trace buffer, optionally turning the node's histograms
+  /// on first. Returns the server's raw JSON string.
   [[nodiscard]] std::string telemetry(cluster::NodeId node,
                                       bool include_trace = false,
-                                      bool flush_trace = false);
+                                      bool flush_trace = false,
+                                      bool enable_metrics = false);
 
   [[nodiscard]] const std::vector<Endpoint>& endpoints() const {
     return options_.endpoints;
   }
-  [[nodiscard]] NetCounters net_counters() const;
+  [[nodiscard]] NetCounters net_counters() const { return net_.snapshot(); }
   [[nodiscard]] ConnectionPool& pool() { return pool_; }
 
   /// Lookup-cache traffic (hits mean registry round-trips not taken);
@@ -169,29 +167,12 @@ class TcpMiddleware final : public cluster::Middleware {
   /// reconnect (the previous connection went away).
   std::unique_ptr<std::atomic<bool>[]> dialed_;
 
-  struct AtomicNetCounters {
-    std::atomic<std::uint64_t> connects{0};
-    std::atomic<std::uint64_t> reconnects{0};
-    std::atomic<std::uint64_t> retries{0};
-    std::atomic<std::uint64_t> frames_sent{0};
-    std::atomic<std::uint64_t> frames_received{0};
-    std::atomic<std::uint64_t> wire_bytes_sent{0};
-    std::atomic<std::uint64_t> wire_bytes_received{0};
-  };
-  AtomicNetCounters net_;
+  NetStats net_;
 
-  /// Per-endpoint registry mirrors, indexed like endpoints; empty unless
-  /// obs::metrics_enabled() at construction. Labelled
-  /// {"endpoint": "<host:port>"}.
-  struct EndpointProbes {
-    std::shared_ptr<obs::Counter> connects;
-    std::shared_ptr<obs::Counter> reconnects;
-    std::shared_ptr<obs::Counter> retries;
-    std::shared_ptr<obs::Counter> bytes_sent;
-    std::shared_ptr<obs::Counter> bytes_received;
-    std::shared_ptr<obs::Histogram> rtt_us;
-  };
-  std::vector<EndpointProbes> probes_;
+  /// Per-endpoint round-trip histograms, indexed like endpoints and
+  /// labelled {"endpoint": "<host:port>"}; record while
+  /// obs::metrics_enabled().
+  std::vector<std::shared_ptr<obs::Histogram>> rtt_us_;
 };
 
 /// The distribution aspect's placement view over a set of TCP servers.

@@ -72,25 +72,8 @@ class TcpServer {
     std::chrono::milliseconds chaos_stall_ms{0};
   };
 
-  /// Byte/frame accounting, captured as a plain copyable snapshot. In
-  /// reactor mode the wire-side counters come from the event loop and
-  /// the reactor-only fields (rejected, backpressure_pauses, idle_closed,
-  /// slow_closed) become live; in thread mode those stay 0.
-  struct Stats {
-    std::uint64_t accepted = 0;
-    std::uint64_t frames_in = 0;
-    std::uint64_t frames_out = 0;
-    std::uint64_t bytes_in = 0;    ///< header + payload, received
-    std::uint64_t bytes_out = 0;   ///< header + payload, sent
-    std::uint64_t protocol_errors = 0;
-    std::uint64_t dispatch_errors = 0;  ///< requests answered kReplyError
-    std::uint64_t chaos_dropped = 0;
-    std::uint64_t chaos_stalled = 0;
-    std::uint64_t rejected = 0;             ///< over max_connections
-    std::uint64_t backpressure_pauses = 0;  ///< read-pause transitions
-    std::uint64_t idle_closed = 0;
-    std::uint64_t slow_closed = 0;          ///< stalled-write evictions
-  };
+  /// Byte/frame accounting (ServerStats' fields), as a copyable snapshot.
+  using Stats = ServerStats::Snapshot;
 
   explicit TcpServer(const cluster::rpc::Registry& registry)
       : TcpServer(registry, Options{}) {}
@@ -131,9 +114,10 @@ class TcpServer {
                     std::vector<std::byte> payload);
   void send_frame(Socket& socket, FrameHeader header,
                   const std::vector<std::byte>& payload);
-  /// kTelemetry reply body: node identity + server counters + the global
-  /// metrics-registry JSON; tflags bit 0 adds the tagged trace buffer,
-  /// bit 1 flushes (drains) it in the same exchange.
+  /// kTelemetry reply body: node identity, whether histograms record,
+  /// every server counter, and the global metrics-registry JSON; tflags
+  /// bit 0 adds the tagged trace buffer, bit 1 flushes (drains) it in the
+  /// same exchange, bit 2 turns histograms on first.
   [[nodiscard]] std::string telemetry_json(std::uint8_t tflags) const;
 
   Options options_;
@@ -146,18 +130,7 @@ class TcpServer {
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> request_seq_{0};  ///< chaos decision index
 
-  struct AtomicStats {
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> frames_in{0};
-    std::atomic<std::uint64_t> frames_out{0};
-    std::atomic<std::uint64_t> bytes_in{0};
-    std::atomic<std::uint64_t> bytes_out{0};
-    std::atomic<std::uint64_t> protocol_errors{0};
-    std::atomic<std::uint64_t> dispatch_errors{0};
-    std::atomic<std::uint64_t> chaos_dropped{0};
-    std::atomic<std::uint64_t> chaos_stalled{0};
-  };
-  AtomicStats stats_;
+  ServerStats stats_;
 
   // Last members: workers_, acceptor_ and reactor_ run code touching
   // everything above, so they must be destroyed (joined) first. stop()

@@ -192,8 +192,9 @@ struct ReactorCompletionQueue {
 // --- Reactor::Impl ----------------------------------------------------------
 
 struct Reactor::Impl {
-  Impl(Listener& l, concurrency::ThreadPool& p, Handler h, Options o)
-      : listener(l), pool(p), handler(std::move(h)), options(o) {}
+  Impl(Listener& l, concurrency::ThreadPool& p, Handler h, Options o,
+       ServerStats& s)
+      : listener(l), pool(p), handler(std::move(h)), options(o), stats(s) {}
 
   struct Conn {
     std::uint64_t id = 0;
@@ -245,29 +246,9 @@ struct Reactor::Impl {
   std::atomic<bool> draining{false};
   std::atomic<std::size_t> open_count{0};
 
-  struct AtomicStats {
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> rejected{0};
-    std::atomic<std::uint64_t> frames_in{0};
-    std::atomic<std::uint64_t> frames_out{0};
-    std::atomic<std::uint64_t> bytes_in{0};
-    std::atomic<std::uint64_t> bytes_out{0};
-    std::atomic<std::uint64_t> protocol_errors{0};
-    std::atomic<std::uint64_t> backpressure_pauses{0};
-    std::atomic<std::uint64_t> idle_closed{0};
-    std::atomic<std::uint64_t> slow_closed{0};
-  };
-  AtomicStats stats;
-
-  // APAR_METRICS probes, labelled {"server", <label>}; null when the
-  // metrics plane is off.
-  std::shared_ptr<obs::Gauge> open_gauge;
-  std::shared_ptr<obs::Counter> accepted_probe;
-  std::shared_ptr<obs::Counter> rejected_probe;
-  std::shared_ptr<obs::Counter> backpressure_probe;
-  std::shared_ptr<obs::Counter> idle_closed_probe;
-  std::shared_ptr<obs::Counter> slow_closed_probe;
-  std::shared_ptr<obs::Histogram> queue_depth_probe;
+  ServerStats& stats;
+  std::shared_ptr<obs::Histogram> queue_depth;  ///< records while metrics on
+  obs::Export open_export;
 
   std::thread loop;
 
@@ -330,16 +311,14 @@ struct Reactor::Impl {
       Socket client = listener.accept(std::chrono::milliseconds(0));
       if (!client.valid()) return;
       if (conns.size() >= options.max_connections) {
-        stats.rejected.fetch_add(1, std::memory_order_relaxed);
-        if (rejected_probe) rejected_probe->add(1);
+        stats.rejected.add();
         continue;  // client socket closes on scope exit
       }
       if (options.sndbuf_bytes > 0) {
         const int v = options.sndbuf_bytes;
         ::setsockopt(client.fd(), SOL_SOCKET, SO_SNDBUF, &v, sizeof(v));
       }
-      stats.accepted.fetch_add(1, std::memory_order_relaxed);
-      if (accepted_probe) accepted_probe->add(1);
+      stats.accepted.add();
 
       auto conn = std::make_unique<Conn>();
       conn->id = next_conn_id++;
@@ -351,7 +330,6 @@ struct Reactor::Impl {
       by_fd[fd] = conn->id;
       conns[conn->id] = std::move(conn);
       open_count.store(conns.size(), std::memory_order_relaxed);
-      if (open_gauge) open_gauge->set(static_cast<std::int64_t>(conns.size()));
     }
   }
 
@@ -387,7 +365,7 @@ struct Reactor::Impl {
             conn.header = decode_header(conn.header_buf.data(),
                                         conn.header_buf.size());
           } catch (const NetError&) {
-            stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+            stats.protocol_errors.add();
             close_conn(conn);
             return;
           }
@@ -402,9 +380,8 @@ struct Reactor::Impl {
       }
 
       // One complete frame: hand it to the pool and reset the machine.
-      stats.frames_in.fetch_add(1, std::memory_order_relaxed);
-      stats.bytes_in.fetch_add(FrameHeader::kSize + conn.payload.size(),
-                               std::memory_order_relaxed);
+      stats.frames_in.add();
+      stats.bytes_in.add(FrameHeader::kSize + conn.payload.size());
       if (!dispatch(conn, conn.header, std::move(conn.payload)))
         return;  // pool unavailable: connection closed
       conn.have_header = false;
@@ -493,9 +470,9 @@ struct Reactor::Impl {
       conn.outbuf.insert(conn.outbuf.end(), bytes.begin(), bytes.end());
       conn.outbuf.insert(conn.outbuf.end(), action.payload.begin(),
                          action.payload.end());
-      stats.frames_out.fetch_add(1, std::memory_order_relaxed);
-      if (queue_depth_probe)
-        queue_depth_probe->record(static_cast<double>(conn.pending_out()));
+      stats.frames_out.add();
+      if (obs::metrics_enabled())
+        queue_depth->record(static_cast<double>(conn.pending_out()));
     }
     return try_write(conn);
   }
@@ -509,8 +486,7 @@ struct Reactor::Impl {
                  conn.outbuf.size() - conn.out_off, MSG_NOSIGNAL);
       if (n > 0) {
         conn.out_off += static_cast<std::size_t>(n);
-        stats.bytes_out.fetch_add(static_cast<std::uint64_t>(n),
-                                  std::memory_order_relaxed);
+        stats.bytes_out.add(static_cast<std::uint64_t>(n));
         conn.last_write_progress = std::chrono::steady_clock::now();
         conn.last_activity = conn.last_write_progress;
         continue;
@@ -538,8 +514,7 @@ struct Reactor::Impl {
     if (conn.inflight + conn.parked.size() >= options.max_inflight ||
         conn.pending_out() >= options.max_outbound_bytes) {
       conn.paused = true;
-      stats.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
-      if (backpressure_probe) backpressure_probe->add(1);
+      stats.backpressure_pauses.add();
       update_interest(conn);
     }
   }
@@ -573,15 +548,13 @@ struct Reactor::Impl {
         idle_victims.push_back(conn.get());
     }
     for (Conn* conn : stall_victims) {
-      stats.slow_closed.fetch_add(1, std::memory_order_relaxed);
-      if (slow_closed_probe) slow_closed_probe->add(1);
+      stats.slow_closed.add();
       APAR_DEBUG("net") << "reactor: evicting slow reader fd="
                         << conn->socket.fd();
       close_conn(*conn);
     }
     for (Conn* conn : idle_victims) {
-      stats.idle_closed.fetch_add(1, std::memory_order_relaxed);
-      if (idle_closed_probe) idle_closed_probe->add(1);
+      stats.idle_closed.add();
       close_conn(*conn);
     }
   }
@@ -591,7 +564,6 @@ struct Reactor::Impl {
     by_fd.erase(conn.socket.fd());
     conns.erase(conn.id);  // destroys conn — no touching it after this
     open_count.store(conns.size(), std::memory_order_relaxed);
-    if (open_gauge) open_gauge->set(static_cast<std::int64_t>(conns.size()));
   }
 
   void begin_drain() {
@@ -612,9 +584,10 @@ struct Reactor::Impl {
 // --- Reactor ----------------------------------------------------------------
 
 Reactor::Reactor(Listener& listener, concurrency::ThreadPool& pool,
-                 Handler handler, Options options, std::string label)
+                 Handler handler, Options options, ServerStats& stats,
+                 const std::string& label)
     : impl_(std::make_unique<Impl>(listener, pool, std::move(handler),
-                                   options)) {
+                                   options, stats)) {
   int fds[2];
   if (::pipe(fds) < 0)
     throw NetError(NetError::Kind::kIo, "reactor self-pipe failed");
@@ -624,20 +597,16 @@ Reactor::Reactor(Listener& listener, concurrency::ThreadPool& pool,
   impl_->completions->wake_fd = fds[1];
   impl_->wake_read_fd = fds[0];
 
-  if (obs::metrics_enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    const obs::Labels labels{{"server", label}};
-    impl_->open_gauge = reg.gauge("net.server.open_connections", labels);
-    impl_->accepted_probe = reg.counter("net.server.accepted", labels);
-    impl_->rejected_probe = reg.counter("net.server.rejected", labels);
-    impl_->backpressure_probe =
-        reg.counter("net.server.backpressure_pauses", labels);
-    impl_->idle_closed_probe = reg.counter("net.server.idle_closed", labels);
-    impl_->slow_closed_probe = reg.counter("net.server.slow_closed", labels);
-    impl_->queue_depth_probe =
-        reg.histogram("net.server.queue_depth", labels,
-                      obs::Histogram::bytes_bounds());
-  }
+  auto& reg = obs::MetricsRegistry::global();
+  const obs::Labels labels{{"server", label}};
+  impl_->queue_depth = reg.histogram("net.server.queue_depth", labels,
+                                     obs::Histogram::bytes_bounds());
+  impl_->open_export =
+      reg.export_gauge("net.server.open_connections", labels,
+                       [impl = impl_.get()] {
+                         return static_cast<std::int64_t>(impl->open_count.load(
+                             std::memory_order_relaxed));
+                       });
 
   impl_->poller = make_poller(options.force_poll);
   impl_->listener_fd = listener.fd();
@@ -661,23 +630,6 @@ void Reactor::stop() {
   [[maybe_unused]] const ssize_t n =
       ::write(impl_->completions->wake_fd, &byte, 1);
   if (impl_->loop.joinable()) impl_->loop.join();
-}
-
-Reactor::Stats Reactor::stats() const {
-  const Impl::AtomicStats& a = impl_->stats;
-  Stats s;
-  s.accepted = a.accepted.load(std::memory_order_relaxed);
-  s.rejected = a.rejected.load(std::memory_order_relaxed);
-  s.frames_in = a.frames_in.load(std::memory_order_relaxed);
-  s.frames_out = a.frames_out.load(std::memory_order_relaxed);
-  s.bytes_in = a.bytes_in.load(std::memory_order_relaxed);
-  s.bytes_out = a.bytes_out.load(std::memory_order_relaxed);
-  s.protocol_errors = a.protocol_errors.load(std::memory_order_relaxed);
-  s.backpressure_pauses =
-      a.backpressure_pauses.load(std::memory_order_relaxed);
-  s.idle_closed = a.idle_closed.load(std::memory_order_relaxed);
-  s.slow_closed = a.slow_closed.load(std::memory_order_relaxed);
-  return s;
 }
 
 std::size_t Reactor::open_connections() const {

@@ -13,7 +13,7 @@
 namespace apar::net {
 
 TcpMiddleware::TcpMiddleware(Options options)
-    : options_(std::move(options)), name_(options_.name) {
+    : options_(std::move(options)), name_(options_.name), pool_(name_) {
   if (options_.endpoints.empty())
     throw NetError(NetError::Kind::kConnect,
                    "TcpMiddleware needs at least one endpoint");
@@ -27,21 +27,11 @@ TcpMiddleware::TcpMiddleware(Options options)
     lookup_cache_ = std::make_unique<
         cache::ShardedLru<std::string, cluster::RemoteHandle>>(std::move(co));
   }
-  if (obs::metrics_enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    probes_.reserve(options_.endpoints.size());
-    for (const Endpoint& ep : options_.endpoints) {
-      const obs::Labels labels{{"endpoint", ep.str()}};
-      EndpointProbes p;
-      p.connects = reg.counter("net.connects", labels);
-      p.reconnects = reg.counter("net.reconnects", labels);
-      p.retries = reg.counter("net.retries", labels);
-      p.bytes_sent = reg.counter("net.bytes_sent", labels);
-      p.bytes_received = reg.counter("net.bytes_received", labels);
-      p.rtt_us = reg.histogram("net.rtt_us", labels);
-      probes_.push_back(std::move(p));
-    }
-  }
+  stats_.export_as("middleware", {{"middleware", name_}});
+  net_.export_as("net", {{"middleware", name_}});
+  auto& reg = obs::MetricsRegistry::global();
+  for (const Endpoint& ep : options_.endpoints)
+    rtt_us_.push_back(reg.histogram("net.rtt_us", {{"endpoint", ep.str()}}));
 }
 
 const Endpoint& TcpMiddleware::endpoint_for(cluster::NodeId node) const {
@@ -95,20 +85,16 @@ TcpMiddleware::Exchange TcpMiddleware::exchange(
     std::size_t endpoint_index, FrameHeader::Op op,
     std::vector<std::byte> payload, std::uint8_t flags) {
   const Endpoint& ep = options_.endpoints[endpoint_index];
-  EndpointProbes* probe =
-      probes_.empty() ? nullptr : &probes_[endpoint_index];
-  const auto started = probe ? std::chrono::steady_clock::now()
+  const bool timed = obs::metrics_enabled();
+  const auto started = timed ? std::chrono::steady_clock::now()
                              : std::chrono::steady_clock::time_point{};
 
   auto checkout =
       pool_.acquire(ep, deadline_after(options_.connect_deadline));
   if (!checkout.reused) {
-    net_.connects.fetch_add(1, std::memory_order_relaxed);
-    if (probe) probe->connects->add(1);
-    if (dialed_[endpoint_index].exchange(true, std::memory_order_relaxed)) {
-      net_.reconnects.fetch_add(1, std::memory_order_relaxed);
-      if (probe) probe->reconnects->add(1);
-    }
+    net_.connects.add();
+    if (dialed_[endpoint_index].exchange(true, std::memory_order_relaxed))
+      net_.reconnects.add();
   }
   Socket socket = std::move(checkout.socket);
 
@@ -128,10 +114,8 @@ TcpMiddleware::Exchange TcpMiddleware::exchange(
     send_all(socket, header_bytes.data(), header_bytes.size(), deadline);
     if (!payload.empty())
       send_all(socket, payload.data(), payload.size(), deadline);
-    net_.frames_sent.fetch_add(1, std::memory_order_relaxed);
-    net_.wire_bytes_sent.fetch_add(header_bytes.size() + payload.size(),
-                                   std::memory_order_relaxed);
-    if (probe) probe->bytes_sent->add(header_bytes.size() + payload.size());
+    net_.frames_sent.add();
+    net_.wire_bytes_sent.add(header_bytes.size() + payload.size());
 
     std::array<std::byte, FrameHeader::kSize> reply_bytes;
     recv_exact(socket, reply_bytes.data(), reply_bytes.size(), deadline);
@@ -145,17 +129,14 @@ TcpMiddleware::Exchange TcpMiddleware::exchange(
     if (reply_header.payload_len > 0)
       recv_exact(socket, reply_payload.data(), reply_payload.size(),
                  deadline);
-    net_.frames_received.fetch_add(1, std::memory_order_relaxed);
-    net_.wire_bytes_received.fetch_add(
-        reply_bytes.size() + reply_payload.size(), std::memory_order_relaxed);
-    if (probe) {
-      probe->bytes_received->add(reply_bytes.size() + reply_payload.size());
-      probe->rtt_us->record(
+    net_.frames_received.add();
+    net_.wire_bytes_received.add(reply_bytes.size() + reply_payload.size());
+    if (timed)
+      rtt_us_[endpoint_index]->record(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - started)
               .count() /
           1000.0);
-    }
   } catch (const NetError&) {
     // The failing socket itself is dropped by unwinding. When it was a
     // REUSED connection, its idle siblings were dialed to the same server
@@ -193,11 +174,10 @@ cluster::RemoteHandle TcpMiddleware::create(cluster::NodeId node,
   put_string(payload, class_name);
   payload.insert(payload.end(), ctor_args.begin(), ctor_args.end());
 
-  stats_.creates.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_sent.fetch_add(payload.size(), std::memory_order_relaxed);
+  stats_.creates.add();
+  stats_.bytes_sent.add(payload.size());
   Exchange ex = roundtrip(node, FrameHeader::Op::kCreate, std::move(payload));
-  stats_.bytes_received.fetch_add(ex.payload.size(),
-                                  std::memory_order_relaxed);
+  stats_.bytes_received.add(ex.payload.size());
   EnvelopeReader env(ex.payload);
   return cluster::RemoteHandle{node, env.u64()};
 }
@@ -211,12 +191,11 @@ std::vector<std::byte> TcpMiddleware::invoke(
   put_string(payload, method);
   payload.insert(payload.end(), args.begin(), args.end());
 
-  stats_.sync_calls.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_sent.fetch_add(payload.size(), std::memory_order_relaxed);
+  stats_.sync_calls.add();
+  stats_.bytes_sent.add(payload.size());
   Exchange ex =
       roundtrip(target.node, FrameHeader::Op::kCall, std::move(payload));
-  stats_.bytes_received.fetch_add(ex.payload.size(),
-                                  std::memory_order_relaxed);
+  stats_.bytes_received.add(ex.payload.size());
   return std::move(ex.payload);
 }
 
@@ -234,19 +213,18 @@ void TcpMiddleware::invoke_one_way(const cluster::RemoteHandle& target,
   put_string(payload, method);
   payload.insert(payload.end(), args.begin(), args.end());
 
-  stats_.one_way_calls.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_sent.fetch_add(payload.size(), std::memory_order_relaxed);
+  stats_.one_way_calls.add();
+  stats_.bytes_sent.add(payload.size());
   Exchange ex =
       roundtrip(target.node, FrameHeader::Op::kOneWay, std::move(payload));
   // The ack is an empty frame; counting its (zero) payload keeps the
   // both-directions invariant literal.
-  stats_.bytes_received.fetch_add(ex.payload.size(),
-                                  std::memory_order_relaxed);
+  stats_.bytes_received.add(ex.payload.size());
 }
 
 std::optional<cluster::RemoteHandle> TcpMiddleware::lookup(
     std::string_view name) {
-  stats_.lookups.fetch_add(1, std::memory_order_relaxed);
+  stats_.lookups.add();
 
   // A cached positive binding answers without touching the wire at all —
   // no frame, no bytes, no registry contention.
@@ -259,11 +237,10 @@ std::optional<cluster::RemoteHandle> TcpMiddleware::lookup(
     std::vector<std::byte> payload;
     put_string(payload, name);
     try {
-      stats_.bytes_sent.fetch_add(payload.size(), std::memory_order_relaxed);
+      stats_.bytes_sent.add(payload.size());
       Exchange ex =
           roundtrip(0, FrameHeader::Op::kLookup, std::move(payload));
-      stats_.bytes_received.fetch_add(ex.payload.size(),
-                                      std::memory_order_relaxed);
+      stats_.bytes_received.add(ex.payload.size());
       EnvelopeReader env(ex.payload);
       const bool found = env.u8() != 0;
       cluster::RemoteHandle handle;
@@ -280,8 +257,7 @@ std::optional<cluster::RemoteHandle> TcpMiddleware::lookup(
       if (e.kind() == NetError::Kind::kProtocol ||
           attempt >= options_.max_lookup_retries)
         throw;
-      net_.retries.fetch_add(1, std::memory_order_relaxed);
-      if (!probes_.empty()) probes_[0].retries->add(1);
+      net_.retries.add();
       std::this_thread::sleep_for(backoff);
       backoff = std::min(backoff * 2, options_.backoff_max);
     }
@@ -300,12 +276,13 @@ void TcpMiddleware::bind_name(std::string name,
 }
 
 std::string TcpMiddleware::telemetry(cluster::NodeId node, bool include_trace,
-                                     bool flush_trace) {
+                                     bool flush_trace, bool enable_metrics) {
   endpoint_for(node);
   std::vector<std::byte> payload;
   std::uint8_t tflags = 0;
   if (include_trace || flush_trace) tflags |= 0x01;
   if (flush_trace) tflags |= 0x02;
+  if (enable_metrics) tflags |= 0x04;
   payload.push_back(static_cast<std::byte>(tflags));
   Exchange ex = roundtrip(node, FrameHeader::Op::kTelemetry,
                           std::move(payload));
@@ -313,19 +290,6 @@ std::string TcpMiddleware::telemetry(cluster::NodeId node, bool include_trace,
   for (std::size_t i = 0; i < ex.payload.size(); ++i)
     json[i] = static_cast<char>(std::to_integer<std::uint8_t>(ex.payload[i]));
   return json;
-}
-
-TcpMiddleware::NetCounters TcpMiddleware::net_counters() const {
-  NetCounters c;
-  c.connects = net_.connects.load(std::memory_order_relaxed);
-  c.reconnects = net_.reconnects.load(std::memory_order_relaxed);
-  c.retries = net_.retries.load(std::memory_order_relaxed);
-  c.frames_sent = net_.frames_sent.load(std::memory_order_relaxed);
-  c.frames_received = net_.frames_received.load(std::memory_order_relaxed);
-  c.wire_bytes_sent = net_.wire_bytes_sent.load(std::memory_order_relaxed);
-  c.wire_bytes_received =
-      net_.wire_bytes_received.load(std::memory_order_relaxed);
-  return c;
 }
 
 }  // namespace apar::net

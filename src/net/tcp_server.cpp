@@ -36,6 +36,7 @@ TcpServer::TcpServer(const cluster::rpc::Registry& registry, Options options)
                                 ? "tcp:" + std::to_string(listener_.port())
                                 : options_.label) {
   if (options_.workers == 0) options_.workers = 1;
+  stats_.export_as("net.server", {{"server", dispatcher_.label()}});
   workers_ = std::make_unique<concurrency::ThreadPool>(options_.workers);
   if (options_.mode == Mode::kReactor) {
     reactor_ = std::make_unique<Reactor>(
@@ -43,7 +44,7 @@ TcpServer::TcpServer(const cluster::rpc::Registry& registry, Options options)
         [this](const FrameHeader& header, std::vector<std::byte> payload) {
           return process_request(header, std::move(payload));
         },
-        options_.reactor, dispatcher_.label());
+        options_.reactor, stats_, dispatcher_.label());
   } else {
     acceptor_ = std::thread([this] { accept_loop(); });
   }
@@ -71,34 +72,7 @@ void TcpServer::stop() {
   workers_.reset();  // drains queued connections (they exit on stopped_)
 }
 
-TcpServer::Stats TcpServer::stats() const {
-  Stats s;
-  s.accepted = stats_.accepted.load(std::memory_order_relaxed);
-  s.frames_in = stats_.frames_in.load(std::memory_order_relaxed);
-  s.frames_out = stats_.frames_out.load(std::memory_order_relaxed);
-  s.bytes_in = stats_.bytes_in.load(std::memory_order_relaxed);
-  s.bytes_out = stats_.bytes_out.load(std::memory_order_relaxed);
-  s.protocol_errors = stats_.protocol_errors.load(std::memory_order_relaxed);
-  s.dispatch_errors = stats_.dispatch_errors.load(std::memory_order_relaxed);
-  s.chaos_dropped = stats_.chaos_dropped.load(std::memory_order_relaxed);
-  s.chaos_stalled = stats_.chaos_stalled.load(std::memory_order_relaxed);
-  if (reactor_) {
-    // The event loop owns the wire in reactor mode; its counters are the
-    // server's. The thread-mode atomics above stay 0 for these fields.
-    const Reactor::Stats r = reactor_->stats();
-    s.accepted += r.accepted;
-    s.frames_in += r.frames_in;
-    s.frames_out += r.frames_out;
-    s.bytes_in += r.bytes_in;
-    s.bytes_out += r.bytes_out;
-    s.protocol_errors += r.protocol_errors;
-    s.rejected = r.rejected;
-    s.backpressure_pauses = r.backpressure_pauses;
-    s.idle_closed = r.idle_closed;
-    s.slow_closed = r.slow_closed;
-  }
-  return s;
-}
+TcpServer::Stats TcpServer::stats() const { return stats_.snapshot(); }
 
 std::size_t TcpServer::open_connections() const {
   return reactor_ ? reactor_->open_connections() : 0;
@@ -108,7 +82,7 @@ void TcpServer::accept_loop() {
   while (!stopped_.load(std::memory_order_relaxed)) {
     Socket client = listener_.accept(std::chrono::milliseconds(100));
     if (!client.valid()) continue;
-    stats_.accepted.fetch_add(1, std::memory_order_relaxed);
+    stats_.accepted.add();
     auto shared = std::make_shared<Socket>(std::move(client));
     try {
       workers_->post([this, shared] {
@@ -138,16 +112,15 @@ void TcpServer::serve_connection(Socket socket) {
       std::vector<std::byte> payload(header.payload_len);
       if (header.payload_len > 0)
         recv_exact(socket, payload.data(), payload.size(), deadline);
-      stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
-      stats_.bytes_in.fetch_add(FrameHeader::kSize + payload.size(),
-                                std::memory_order_relaxed);
+      stats_.frames_in.add();
+      stats_.bytes_in.add(FrameHeader::kSize + payload.size());
       if (!handle_frame(socket, header, std::move(payload))) return;
     } catch (const NetError& e) {
       // kClosed on the header boundary is a normal disconnect; anything
       // else means the stream cannot be trusted — drop the connection
       // (frame sync is lost, there is no way to answer reliably).
       if (e.kind() == NetError::Kind::kProtocol)
-        stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        stats_.protocol_errors.add();
       return;
     } catch (...) {
       return;
@@ -169,7 +142,7 @@ ReplyAction TcpServer::process_request(const FrameHeader& header,
   const std::uint64_t seq =
       request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (seq <= options_.chaos_drop_frames) {
-    stats_.chaos_dropped.fetch_add(1, std::memory_order_relaxed);
+    stats_.chaos_dropped.add();
     action.drop = true;  // "lose" the request: close without replying
     return action;
   }
@@ -242,6 +215,10 @@ ReplyAction TcpServer::process_request(const FrameHeader& header,
       }
       case FrameHeader::Op::kTelemetry: {
         const std::uint8_t tflags = env.rest_size() > 0 ? env.u8() : 0;
+        // Bit 2 switches this process's histograms on: a live server can
+        // be asked for latency breakdowns without a restart or an
+        // environment variable.
+        if (tflags & 0x04) obs::set_metrics_enabled(true);
         reply = message_bytes(telemetry_json(tflags));
         break;
       }
@@ -255,7 +232,7 @@ ReplyAction TcpServer::process_request(const FrameHeader& header,
   } catch (const std::exception& e) {
     APAR_DEBUG("net") << dispatcher_.label() << " request failed: "
                       << e.what();
-    stats_.dispatch_errors.fetch_add(1, std::memory_order_relaxed);
+    stats_.dispatch_errors.add();
     reply_header.op = FrameHeader::Op::kReplyError;
     reply = message_bytes(e.what());
     failed = true;
@@ -275,7 +252,7 @@ ReplyAction TcpServer::process_request(const FrameHeader& header,
 
   if (seq <= options_.chaos_stall_frames &&
       options_.chaos_stall_ms.count() > 0) {
-    stats_.chaos_stalled.fetch_add(1, std::memory_order_relaxed);
+    stats_.chaos_stalled.add();
     std::this_thread::sleep_for(options_.chaos_stall_ms);
   }
 
@@ -292,15 +269,15 @@ std::string TcpServer::telemetry_json(std::uint8_t tflags) const {
      << ",\"pid\":" << ::getpid()
      << ",\"port\":" << listener_.port()
      << ",\"uptime_us\":" << uptime
-     << ",\"server\":{"
-     << "\"accepted\":" << s.accepted
-     << ",\"frames_in\":" << s.frames_in
-     << ",\"frames_out\":" << s.frames_out
-     << ",\"bytes_in\":" << s.bytes_in
-     << ",\"bytes_out\":" << s.bytes_out
-     << ",\"protocol_errors\":" << s.protocol_errors
-     << ",\"dispatch_errors\":" << s.dispatch_errors
-     << "}"
+     << ",\"metrics_enabled\":"
+     << (obs::metrics_enabled() ? "true" : "false")
+     << ",\"server\":{";
+  const char* sep = "";
+  s.for_each([&](std::string_view name, std::uint64_t value) {
+    os << sep << '"' << name << "\":" << value;
+    sep = ",";
+  });
+  os << "}"
      << ",\"metrics\":" << obs::MetricsRegistry::global().to_json();
   if (tflags & 0x01) {
     auto& tracer = *obs::Tracer::global();
@@ -328,9 +305,8 @@ void TcpServer::send_frame(Socket& socket, FrameHeader header,
   send_all(socket, bytes.data(), bytes.size(), deadline);
   if (!payload.empty())
     send_all(socket, payload.data(), payload.size(), deadline);
-  stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_out.fetch_add(bytes.size() + payload.size(),
-                             std::memory_order_relaxed);
+  stats_.frames_out.add();
+  stats_.bytes_out.add(bytes.size() + payload.size());
 }
 
 }  // namespace apar::net

@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -14,12 +16,15 @@
 
 namespace apar::obs {
 
+class MetricsRegistry;
+
 /// Metric labels, e.g. {{"middleware", "MPP"}, {"method", "sieve"}}.
 /// Normalised (sorted by key) before use so label order never creates
 /// distinct time series.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Monotonically increasing count (events, bytes, microseconds of work).
+/// Monotonically increasing count (events, bytes, microseconds of work):
+/// one relaxed atomic, so add() costs exactly a relaxed fetch_add.
 class Counter {
  public:
   void add(std::uint64_t delta = 1) {
@@ -28,6 +33,8 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
+  /// Overwrite; only for aggregate views recomputed from live counters.
+  void store(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -116,10 +123,45 @@ struct MetricSnapshot {
   std::vector<std::uint64_t> buckets;  ///< cumulative, +Inf last
 };
 
+/// One named field of a component's counter set (obs/counters.hpp).
+struct CounterField {
+  std::string_view name;
+  const Counter* counter = nullptr;
+};
+
+/// Keeps component-owned series listed in a registry for as long as it
+/// lives (move-only). When it dies the series are unlisted: exported
+/// counters fold their final values into the series first, so a scraped
+/// counter never goes backwards; exported levels simply drop out.
+class Export {
+ public:
+  Export() = default;
+  Export(Export&& other) noexcept
+      : registry_(std::exchange(other.registry_, nullptr)), id_(other.id_) {}
+  Export& operator=(Export&& other) noexcept;
+  Export(const Export&) = delete;
+  Export& operator=(const Export&) = delete;
+  ~Export();
+
+ private:
+  friend class MetricsRegistry;
+  Export(MetricsRegistry* registry, std::uint64_t id)
+      : registry_(registry), id_(id) {}
+
+  MetricsRegistry* registry_ = nullptr;
+  std::uint64_t id_ = 0;
+};
+
 /// Thread-safe named-metric registry: the one place every layer's counters,
-/// gauges and latency histograms live, snapshot-able as structs, a
-/// common::Table, or JSON. Instruments hold shared_ptrs to their metrics,
-/// so clear() never invalidates a live probe.
+/// gauges and latency histograms are listed, snapshot-able as structs, a
+/// common::Table, or JSON. Two kinds of series live here:
+///
+///   - registry-owned instruments (counter/gauge/histogram), held through
+///     shared_ptrs so clear() never invalidates a live probe;
+///   - component-owned exports: a component's counter set or a level it
+///     computes, read in place at every snapshot. The value a component's
+///     own stats() reports and the value a scrape reports are the same
+///     atomics, summed over every live (and retired) exporter of the series.
 class MetricsRegistry {
  public:
   std::shared_ptr<Counter> counter(std::string_view name, Labels labels = {});
@@ -130,6 +172,21 @@ class MetricsRegistry {
       std::string_view name, Labels labels = {},
       std::vector<double> bounds = Histogram::latency_us_bounds());
 
+  /// List each field as counter "<prefix>.<field>"{labels}, read from the
+  /// component's own atomics. The counters must outlive the handle.
+  [[nodiscard]] Export export_counters(std::string_view prefix, Labels labels,
+                                       std::span<const CounterField> fields);
+  /// List `read()` as gauge `name`{labels}. It runs under the registry lock
+  /// at every snapshot, so it must be cheap and must not call back into the
+  /// registry.
+  [[nodiscard]] Export export_gauge(std::string_view name, Labels labels,
+                                    std::function<std::int64_t()> read);
+
+  /// Current value of counter or gauge series `name`{labels}, exactly as a
+  /// snapshot would report it (0 when the series does not exist).
+  [[nodiscard]] std::int64_t value(std::string_view name,
+                                   Labels labels = {}) const;
+
   [[nodiscard]] std::vector<MetricSnapshot> snapshot() const;
   /// Sorted, aligned rendering of every metric (counters/gauges first,
   /// then histograms with count/mean/p50/p95/p99/p999/max).
@@ -137,14 +194,16 @@ class MetricsRegistry {
   [[nodiscard]] std::string to_json() const;
 
   [[nodiscard]] std::size_t size() const;
-  /// Drop every registered metric. Probes holding shared_ptrs keep
-  /// recording into their (now unlisted) instruments.
+  /// Drop every listed metric. Probes holding shared_ptrs keep recording
+  /// into their (now unlisted) instruments; live exports are unlisted too.
   void clear();
 
   /// The process-wide registry all substrate instrumentation feeds.
   static MetricsRegistry& global();
 
  private:
+  friend class Export;
+
   struct Entry {
     MetricSnapshot::Kind kind = MetricSnapshot::Kind::kCounter;
     std::string name;
@@ -152,18 +211,55 @@ class MetricsRegistry {
     std::shared_ptr<Counter> counter;
     std::shared_ptr<Gauge> gauge;
     std::shared_ptr<Histogram> histogram;
+    /// Exported sources, by export id.
+    std::map<std::uint64_t, const Counter*> counters;
+    std::map<std::uint64_t, std::function<std::int64_t()>> levels;
+    /// Final counts of exporters that are gone.
+    std::uint64_t retired = 0;
   };
+
+  Entry& entry_locked(std::string_view name, Labels labels,
+                      MetricSnapshot::Kind kind);
+  static std::int64_t value_of(const Entry& e);
+  void unexport(std::uint64_t id);
+  void unexport_locked(std::uint64_t id);
 
   mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;
+  /// Entry keys each live export contributes to.
+  std::map<std::uint64_t, std::vector<std::string>> exports_;
+  std::uint64_t next_export_id_ = 1;
 };
 
-/// True when substrate instrumentation (thread pool, work queues,
-/// middleware, nodes, fault injection) should register probes. Read from
-/// the environment once (APAR_METRICS truthy, or APAR_METRICS_OUT
-/// non-empty); overridable for tests. Plugged ProfilingAspects ignore this
-/// gate — plugging one is already the opt-in.
-bool metrics_enabled();
+namespace detail {
+/// -1 until the environment has been read; then holds * 2 + switch.
+inline std::atomic<int> metrics_state{-1};
+bool metrics_enabled_slow();
+}  // namespace detail
+
+/// The histogram switch. Counters and gauges are always on and always
+/// exported; this only decides whether work that needs a clock read or a
+/// bucket search (latency/size histograms) happens, and it is read at
+/// every record, so flipping it takes effect in components that already
+/// exist. On when APAR_METRICS is truthy or APAR_METRICS_OUT is non-empty
+/// at first use, after set_metrics_enabled(true), or while a MetricsHold
+/// lives. Plugged ProfilingAspects ignore it — plugging one is already the
+/// opt-in.
+inline bool metrics_enabled() {
+  const int v = detail::metrics_state.load(std::memory_order_relaxed);
+  return v < 0 ? detail::metrics_enabled_slow() : v != 0;
+}
 void set_metrics_enabled(bool on);
+
+/// Keeps metrics_enabled() true while alive, independently of the switch
+/// (nestable) — how a consumer of histograms, such as the adaptation
+/// controller, opts in for exactly as long as it runs.
+class MetricsHold {
+ public:
+  MetricsHold();
+  ~MetricsHold();
+  MetricsHold(const MetricsHold&) = delete;
+  MetricsHold& operator=(const MetricsHold&) = delete;
+};
 
 }  // namespace apar::obs

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "apar/common/thread_annotations.hpp"
+#include "apar/obs/metrics.hpp"
 #include "apar/obs/trace_context.hpp"
 
 namespace apar::obs {
@@ -52,8 +53,8 @@ struct TraceSpan {
 ///
 /// Storage is a bounded ring: once `capacity()` events are held, each new
 /// event evicts the oldest and bumps the exact `dropped_events()` counter
-/// (mirrored to the `trace.dropped_events` registry counter when metrics
-/// are enabled), so long traced runs cannot grow memory without bound.
+/// (exported as `trace.dropped_events`), so long traced runs cannot grow
+/// memory without bound.
 class Tracer {
  public:
   /// Default ring capacity (events). ~256k events ≈ tens of MB worst
@@ -140,9 +141,8 @@ class Tracer {
   mutable common::Mutex mutex_;
   std::deque<TraceEvent> events_ APAR_GUARDED_BY(mutex_);
   std::size_t capacity_ APAR_GUARDED_BY(mutex_);
-  std::uint64_t dropped_ APAR_GUARDED_BY(mutex_) = 0;
-  /// Lazy registry mirror (created under mutex_ on first drop).
-  std::shared_ptr<class Counter> dropped_counter_ APAR_GUARDED_BY(mutex_);
+  Counter dropped_;
+  Export dropped_export_;  ///< after dropped_: unlisted first
 };
 
 }  // namespace apar::obs

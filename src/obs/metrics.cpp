@@ -158,20 +158,46 @@ std::string labels_str(const Labels& labels) {
 
 }  // namespace
 
+MetricsRegistry::Entry& MetricsRegistry::entry_locked(
+    std::string_view name, Labels labels, MetricSnapshot::Kind kind) {
+  auto [it, fresh] = entries_.try_emplace(metric_key(name, labels));
+  Entry& e = it->second;
+  if (fresh) {
+    e.kind = kind;
+    e.name = std::string(name);
+    e.labels = std::move(labels);
+  } else if (e.kind != kind) {
+    throw std::logic_error("metric '" + std::string(name) +
+                           "' already registered with another type");
+  }
+  return e;
+}
+
+std::int64_t MetricsRegistry::value_of(const Entry& e) {
+  switch (e.kind) {
+    case MetricSnapshot::Kind::kCounter: {
+      std::uint64_t v = e.retired + (e.counter ? e.counter->value() : 0);
+      for (const auto& [id, c] : e.counters) v += c->value();
+      return static_cast<std::int64_t>(v);
+    }
+    case MetricSnapshot::Kind::kGauge: {
+      std::int64_t v = e.gauge ? e.gauge->value() : 0;
+      for (const auto& [id, read] : e.levels) v += read();
+      return v;
+    }
+    case MetricSnapshot::Kind::kHistogram:
+      break;
+  }
+  return static_cast<std::int64_t>(e.histogram->count());
+}
+
 std::shared_ptr<Counter> MetricsRegistry::counter(std::string_view name,
                                                   Labels labels) {
   labels = normalize(std::move(labels));
   std::lock_guard lock(mutex_);
-  auto& e = entries_[metric_key(name, labels)];
-  if (!e.counter) {
-    if (e.gauge || e.histogram)
-      throw std::logic_error("metric '" + std::string(name) +
-                             "' already registered with another type");
-    e.kind = MetricSnapshot::Kind::kCounter;
-    e.name = std::string(name);
-    e.labels = labels;
-    e.counter = std::make_shared<Counter>();
-  }
+  Entry& e =
+      entry_locked(name, std::move(labels), MetricSnapshot::Kind::kCounter);
+  if (!e.counter) e.counter = std::make_shared<Counter>();
   return e.counter;
 }
 
@@ -179,16 +205,8 @@ std::shared_ptr<Gauge> MetricsRegistry::gauge(std::string_view name,
                                               Labels labels) {
   labels = normalize(std::move(labels));
   std::lock_guard lock(mutex_);
-  auto& e = entries_[metric_key(name, labels)];
-  if (!e.gauge) {
-    if (e.counter || e.histogram)
-      throw std::logic_error("metric '" + std::string(name) +
-                             "' already registered with another type");
-    e.kind = MetricSnapshot::Kind::kGauge;
-    e.name = std::string(name);
-    e.labels = labels;
-    e.gauge = std::make_shared<Gauge>();
-  }
+  Entry& e = entry_locked(name, std::move(labels), MetricSnapshot::Kind::kGauge);
+  if (!e.gauge) e.gauge = std::make_shared<Gauge>();
   return e.gauge;
 }
 
@@ -196,17 +214,85 @@ std::shared_ptr<Histogram> MetricsRegistry::histogram(
     std::string_view name, Labels labels, std::vector<double> bounds) {
   labels = normalize(std::move(labels));
   std::lock_guard lock(mutex_);
-  auto& e = entries_[metric_key(name, labels)];
-  if (!e.histogram) {
-    if (e.counter || e.gauge)
-      throw std::logic_error("metric '" + std::string(name) +
-                             "' already registered with another type");
-    e.kind = MetricSnapshot::Kind::kHistogram;
-    e.name = std::string(name);
-    e.labels = labels;
-    e.histogram = std::make_shared<Histogram>(std::move(bounds));
-  }
+  Entry& e =
+      entry_locked(name, std::move(labels), MetricSnapshot::Kind::kHistogram);
+  if (!e.histogram) e.histogram = std::make_shared<Histogram>(std::move(bounds));
   return e.histogram;
+}
+
+Export MetricsRegistry::export_counters(std::string_view prefix, Labels labels,
+                                        std::span<const CounterField> fields) {
+  labels = normalize(std::move(labels));
+  std::lock_guard lock(mutex_);
+  const std::uint64_t id = next_export_id_++;
+  auto& keys = exports_[id];
+  for (const CounterField& f : fields) {
+    const std::string name = std::string(prefix) + "." + std::string(f.name);
+    Entry* e = nullptr;
+    try {
+      e = &entry_locked(name, labels, MetricSnapshot::Kind::kCounter);
+    } catch (...) {
+      // Roll back: a half-listed set would outlive the handle never made.
+      unexport_locked(id);
+      throw;
+    }
+    e->counters.emplace(id, f.counter);
+    keys.push_back(metric_key(name, labels));
+  }
+  return Export(this, id);
+}
+
+Export MetricsRegistry::export_gauge(std::string_view name, Labels labels,
+                                     std::function<std::int64_t()> read) {
+  labels = normalize(std::move(labels));
+  std::lock_guard lock(mutex_);
+  Entry& e = entry_locked(name, labels, MetricSnapshot::Kind::kGauge);
+  const std::uint64_t id = next_export_id_++;
+  e.levels.emplace(id, std::move(read));
+  exports_[id].push_back(metric_key(name, labels));
+  return Export(this, id);
+}
+
+void MetricsRegistry::unexport(std::uint64_t id) {
+  std::lock_guard lock(mutex_);
+  unexport_locked(id);
+}
+
+void MetricsRegistry::unexport_locked(std::uint64_t id) {
+  const auto it = exports_.find(id);
+  if (it == exports_.end()) return;
+  for (const std::string& key : it->second) {
+    const auto e = entries_.find(key);
+    if (e == entries_.end()) continue;  // clear() dropped it
+    if (const auto c = e->second.counters.find(id);
+        c != e->second.counters.end()) {
+      e->second.retired += c->second->value();
+      e->second.counters.erase(c);
+    }
+    e->second.levels.erase(id);
+  }
+  exports_.erase(it);
+}
+
+std::int64_t MetricsRegistry::value(std::string_view name,
+                                    Labels labels) const {
+  const std::string key = metric_key(name, normalize(std::move(labels)));
+  std::lock_guard lock(mutex_);
+  const auto it = entries_.find(key);
+  return it == entries_.end() ? 0 : value_of(it->second);
+}
+
+Export& Export::operator=(Export&& other) noexcept {
+  if (this != &other) {
+    if (registry_) registry_->unexport(id_);
+    registry_ = std::exchange(other.registry_, nullptr);
+    id_ = other.id_;
+  }
+  return *this;
+}
+
+Export::~Export() {
+  if (registry_) registry_->unexport(id_);
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
@@ -220,10 +306,8 @@ std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
     s.labels = e.labels;
     switch (e.kind) {
       case MetricSnapshot::Kind::kCounter:
-        s.value = static_cast<std::int64_t>(e.counter->value());
-        break;
       case MetricSnapshot::Kind::kGauge:
-        s.value = e.gauge->value();
+        s.value = value_of(e);
         break;
       case MetricSnapshot::Kind::kHistogram:
         s.count = e.histogram->count();
@@ -334,8 +418,11 @@ void MetricsRegistry::clear() {
 }
 
 MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry instance;
-  return instance;
+  // Never destroyed: components with static storage may unlist their
+  // exports during exit, in any order relative to this function's first
+  // call.
+  static MetricsRegistry* const instance = new MetricsRegistry();
+  return *instance;
 }
 
 // ---------------------------------------------------------------------------
@@ -343,31 +430,39 @@ MetricsRegistry& MetricsRegistry::global() {
 // ---------------------------------------------------------------------------
 
 namespace {
-// -1 = undecided (read env on first query), 0 = off, 1 = on.
-std::atomic<int> g_metrics_enabled{-1};
 
 bool env_truthy(const char* v) {
   return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0 &&
          std::strcmp(v, "false") != 0 && std::strcmp(v, "off") != 0;
 }
+
 }  // namespace
 
-bool metrics_enabled() {
-  int v = g_metrics_enabled.load(std::memory_order_acquire);
-  if (v < 0) {
-    const char* out = std::getenv("APAR_METRICS_OUT");
-    const bool on =
-        env_truthy(std::getenv("APAR_METRICS")) || (out != nullptr && *out);
-    int expected = -1;
-    g_metrics_enabled.compare_exchange_strong(expected, on ? 1 : 0,
-                                              std::memory_order_acq_rel);
-    v = g_metrics_enabled.load(std::memory_order_acquire);
-  }
-  return v == 1;
+bool detail::metrics_enabled_slow() {
+  const char* out = std::getenv("APAR_METRICS_OUT");
+  const bool on =
+      env_truthy(std::getenv("APAR_METRICS")) || (out != nullptr && *out);
+  int expected = -1;
+  metrics_state.compare_exchange_strong(expected, on ? 1 : 0,
+                                        std::memory_order_relaxed);
+  return metrics_state.load(std::memory_order_relaxed) != 0;
 }
 
 void set_metrics_enabled(bool on) {
-  g_metrics_enabled.store(on ? 1 : 0, std::memory_order_release);
+  (void)metrics_enabled();  // settle the environment default first
+  int v = detail::metrics_state.load(std::memory_order_relaxed);
+  while (!detail::metrics_state.compare_exchange_weak(
+      v, (v & ~1) | (on ? 1 : 0), std::memory_order_relaxed)) {
+  }
+}
+
+MetricsHold::MetricsHold() {
+  (void)metrics_enabled();
+  detail::metrics_state.fetch_add(2, std::memory_order_relaxed);
+}
+
+MetricsHold::~MetricsHold() {
+  detail::metrics_state.fetch_sub(2, std::memory_order_relaxed);
 }
 
 }  // namespace apar::obs

@@ -27,15 +27,12 @@ std::string hex_id(std::uint64_t id) {
 }  // namespace
 
 Tracer::Tracer(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-void Tracer::note_dropped_locked(std::uint64_t n) {
-  dropped_ += n;
-  if (!dropped_counter_ && metrics_enabled()) {
-    dropped_counter_ = MetricsRegistry::global().counter("trace.dropped_events");
-  }
-  if (dropped_counter_) dropped_counter_->add(n);
+    : capacity_(capacity == 0 ? 1 : capacity) {
+  const CounterField dropped[] = {{"dropped_events", &dropped_}};
+  dropped_export_ = MetricsRegistry::global().export_counters("trace", {}, dropped);
 }
+
+void Tracer::note_dropped_locked(std::uint64_t n) { dropped_.add(n); }
 
 void Tracer::record(TraceEvent event) {
   common::MutexLock lock(mutex_);
@@ -89,10 +86,7 @@ void Tracer::set_capacity(std::size_t capacity) {
   }
 }
 
-std::uint64_t Tracer::dropped_events() const {
-  common::MutexLock lock(mutex_);
-  return dropped_;
-}
+std::uint64_t Tracer::dropped_events() const { return dropped_.value(); }
 
 std::size_t Tracer::thread_count() const {
   common::MutexLock lock(mutex_);

@@ -89,9 +89,9 @@ SieveResult run_pipeline_rmi(const SieveConfig& config) {
   result.primes =
       count_primes_up_to(root) + static_cast<long long>(survivors.size());
   const auto& stats = rmi.stats();
-  result.sync_messages = stats.sync_calls.load() + stats.creates.load();
+  result.sync_messages = stats.sync_calls.value() + stats.creates.value();
   result.bytes_on_wire =
-      stats.bytes_sent.load() + stats.bytes_received.load();
+      stats.bytes_sent.value() + stats.bytes_received.value();
   return result;
 }
 

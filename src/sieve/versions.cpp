@@ -213,9 +213,9 @@ SieveResult SieveHarness::run() {
       std::uint64_t sync = 0, one_way = 0, bytes = 0;
     } t;
     auto add = [&t](const cluster::MiddlewareStats& s) {
-      t.sync += s.sync_calls.load() + s.creates.load();
-      t.one_way += s.one_way_calls.load();
-      t.bytes += s.bytes_sent.load() + s.bytes_received.load();
+      t.sync += s.sync_calls.value() + s.creates.value();
+      t.one_way += s.one_way_calls.value();
+      t.bytes += s.bytes_sent.value() + s.bytes_received.value();
     };
     if (!backends_.empty()) {
       for (const auto& b : backends_) add(b->stats());

@@ -31,6 +31,20 @@ TEST(AdaptationAspect, PlugStartsAndUnplugStopsTheControlLoop) {
   EXPECT_FALSE(tuner->controller().running());
 }
 
+TEST(AdaptationAspect, PluggingIsTheHistogramOptIn) {
+  // The controller reads queue-wait and run-time histograms; plugging the
+  // aspect switches them on for as long as it is plugged, with no
+  // environment variable and no forced global switch.
+  apar::obs::set_metrics_enabled(false);
+  aop::Context ctx;
+  auto tuner = std::make_shared<adapt::AdaptationAspect<Worker>>();
+  tuner->adapt_method<&Worker::process>({"workers"});
+  ctx.attach(tuner);
+  EXPECT_TRUE(apar::obs::metrics_enabled());
+  ctx.detach(tuner->name());
+  EXPECT_FALSE(apar::obs::metrics_enabled());
+}
+
 TEST(AdaptationAspect, AdviceIsPassThroughAndCarriesTheMarks) {
   aop::Context ctx;
   auto tuner = std::make_shared<adapt::AdaptationAspect<Worker>>();

@@ -171,7 +171,7 @@ TEST(WordCounter, DistributedFarmMovesStringsOverTheWire) {
     for (const auto& [token, n] : counts) merged[token] += n;
   }
   EXPECT_EQ(merged, expected);
-  EXPECT_GT(rmi.stats().bytes_sent.load(), 0u);
+  EXPECT_GT(rmi.stats().bytes_sent.value(), 0u);
   ctx.detach("Distribution");
   ctx.quiesce();
 }

@@ -76,9 +76,9 @@ TEST(CacheFaults, DroppedRemoteCallIsNeverCached) {
   // third call hits without another remote dispatch.
   rig.faulty->set_armed(false);
   EXPECT_EQ(rig.ctx.call<&SlowStage::query>(ref, 1LL), 8LL);
-  const auto wire_calls = rig.inner->stats().sync_calls.load();
+  const auto wire_calls = rig.inner->stats().sync_calls.value();
   EXPECT_EQ(rig.ctx.call<&SlowStage::query>(ref, 1LL), 8LL);
-  EXPECT_EQ(rig.inner->stats().sync_calls.load(), wire_calls);
+  EXPECT_EQ(rig.inner->stats().sync_calls.value(), wire_calls);
   const auto s = rig.memo->stats().snapshot();
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.hits, 1u);
@@ -98,9 +98,9 @@ TEST(CacheFaults, WarmHitNeverReachesTheFaultLayer) {
   // Wire goes fully lossy. The cached key still answers — and the fault
   // layer never even decided on the call, because it never saw it.
   rig.faulty->set_armed(true);
-  const auto intercepted = rig.faulty->fault_stats().intercepted.load();
+  const auto intercepted = rig.faulty->fault_stats().intercepted.value();
   EXPECT_EQ(rig.ctx.call<&SlowStage::query>(ref, 10LL), 13LL);
-  EXPECT_EQ(rig.faulty->fault_stats().intercepted.load(), intercepted);
+  EXPECT_EQ(rig.faulty->fault_stats().intercepted.value(), intercepted);
   EXPECT_EQ(rig.memo->hits(), 1u);
 }
 

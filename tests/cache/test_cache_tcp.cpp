@@ -105,7 +105,7 @@ TEST(CacheTcp, LookupCacheAnswersRepeatLookupsLocally) {
   EXPECT_EQ(mw.lookup_cache_stats()->snapshot().hits, 1u);
   // stats().lookups still counts every call — the cache is invisible to
   // the accounting the distribution aspect asserts on.
-  EXPECT_EQ(mw.stats().lookups.load(), 2u);
+  EXPECT_EQ(mw.stats().lookups.value(), 2u);
 }
 
 TEST(CacheTcp, BindNameInvalidatesOwnCacheEntry) {

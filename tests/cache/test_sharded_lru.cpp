@@ -252,3 +252,33 @@ TEST(ShardedLru, StatsInvariantGetsSplitExactly) {
   const auto s = lru.stats().snapshot();
   EXPECT_EQ(s.gets, s.hits + s.misses + s.coalesced);
 }
+
+TEST(ShardedLru, ExportedSeriesAreTheCacheCounters) {
+  // One mechanism: cache.<field>{cache} is read from the counters stats()
+  // reports, so the exactness invariant holds in a scrape too, and the
+  // entries/bytes levels track the live contents.
+  auto& registry = apar::obs::MetricsRegistry::global();
+  Lru::Options o = single_shard(2);
+  o.name = "export-test";
+  const apar::obs::Labels labels{{"cache", "export-test"}};
+  Lru lru(o);
+  for (int i = 0; i < 30; ++i) {
+    const std::string k = "k" + std::to_string(i % 4);
+    if (i % 3 == 0) lru.put(k, "v");
+    (void)lru.get(k);
+  }
+  const auto s = lru.stats().snapshot();
+  s.for_each([&](std::string_view field, std::uint64_t value) {
+    EXPECT_EQ(registry.value("cache." + std::string(field), labels),
+              static_cast<std::int64_t>(value))
+        << field;
+  });
+  EXPECT_EQ(registry.value("cache.gets", labels),
+            registry.value("cache.hits", labels) +
+                registry.value("cache.misses", labels) +
+                registry.value("cache.coalesced", labels));
+  EXPECT_EQ(registry.value("cache.entries", labels),
+            static_cast<std::int64_t>(lru.size()));
+  EXPECT_EQ(registry.value("cache.bytes", labels),
+            static_cast<std::int64_t>(lru.bytes()));
+}

@@ -133,8 +133,8 @@ TEST_P(MiddlewareEndToEnd, StatsCountTraffic) {
       mw_->create(0, "Counter", as::encode(mw_->wire_format(), 0LL));
   mw_->invoke(handle, "get", as::encode(mw_->wire_format()));
   const auto& stats = mw_->stats();
-  EXPECT_EQ(stats.creates.load(), 1u);
-  EXPECT_GE(stats.sync_calls.load(), 1u);
+  EXPECT_EQ(stats.creates.value(), 1u);
+  EXPECT_GE(stats.sync_calls.value(), 1u);
 }
 
 TEST(MiddlewareProperties, RmiHasNoOneWay) {
@@ -182,7 +182,7 @@ TEST(MiddlewareProperties, LookupGoesThroughNameServer) {
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->node, 1u);
   EXPECT_EQ(found->object, 7u);
-  EXPECT_EQ(rmi.stats().lookups.load(), 2u);
+  EXPECT_EQ(rmi.stats().lookups.value(), 2u);
 }
 
 TEST(NameServer, BindLookupUnbind) {

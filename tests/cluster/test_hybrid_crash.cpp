@@ -64,15 +64,15 @@ TEST(HybridMiddleware, SplitsTrafficAcrossBackends) {
   // Create via control (RMI); note the routed backend defines the format.
   const auto handle =
       hybrid.create(0, "Counter", as::encode(rmi.wire_format(), 0LL));
-  EXPECT_EQ(rmi.stats().creates.load(), 1u);
-  EXPECT_EQ(mpp.stats().creates.load(), 0u);
+  EXPECT_EQ(rmi.stats().creates.value(), 1u);
+  EXPECT_EQ(mpp.stats().creates.value(), 0u);
 
   // Fast-path method goes over MPP one-way.
   auto& fast = hybrid.route_for("add");
   fast.invoke_one_way(handle, "add", as::encode(fast.wire_format(), 5LL));
   cluster.drain();
-  EXPECT_EQ(mpp.stats().one_way_calls.load(), 1u);
-  EXPECT_EQ(rmi.stats().one_way_calls.load(), 0u);
+  EXPECT_EQ(mpp.stats().one_way_calls.value(), 1u);
+  EXPECT_EQ(rmi.stats().one_way_calls.value(), 0u);
 
   // Control method over RMI; the object state reflects both paths.
   auto& slow = hybrid.route_for("get");
@@ -80,7 +80,7 @@ TEST(HybridMiddleware, SplitsTrafficAcrossBackends) {
       slow.invoke(handle, "get", as::encode(slow.wire_format()));
   const auto [value] = as::decode<long long>(reply, slow.wire_format());
   EXPECT_EQ(value, 5);
-  EXPECT_GE(rmi.stats().sync_calls.load(), 1u);
+  EXPECT_GE(rmi.stats().sync_calls.value(), 1u);
 }
 
 TEST(NodeCrash, QueuedSyncRequestsFailLoudly) {

@@ -112,3 +112,39 @@ TEST(MiddlewareStats, HybridAggregateEqualsBackendSumOnEveryField) {
   EXPECT_EQ(control.sync_calls, 1u);
   EXPECT_EQ(control.lookups, 1u);
 }
+
+TEST(MiddlewareStats, RegistryExportsTheSameCounters) {
+  // What tests assert on (stats()) and what telemetry scrapes
+  // (middleware.<field>{middleware}) are one set of atomics, so the
+  // both-directions byte parity holds in the export too.
+  auto& registry = apar::obs::MetricsRegistry::global();
+  const apar::obs::Labels labels{{"middleware", "MPP"}};
+  const auto exported = [&] {
+    ac::MiddlewareStats::Snapshot s;
+    s.creates = registry.value("middleware.creates", labels);
+    s.sync_calls = registry.value("middleware.sync_calls", labels);
+    s.one_way_calls = registry.value("middleware.one_way_calls", labels);
+    s.bytes_sent = registry.value("middleware.bytes_sent", labels);
+    s.bytes_received = registry.value("middleware.bytes_received", labels);
+    s.lookups = registry.value("middleware.lookups", labels);
+    return s;
+  };
+  ac::Cluster cluster(small_cluster());
+  register_counter(cluster.registry());
+  const auto before = exported();
+  {
+    ac::MppMiddleware mpp(cluster, ac::CostModel::loopback());
+    const auto handle =
+        mpp.create(0, "Counter", as::encode(mpp.wire_format(), 0LL));
+    (void)mpp.invoke(handle, "add", as::encode(mpp.wire_format(), 2LL));
+    mpp.invoke_one_way(handle, "add", as::encode(mpp.wire_format(), 3LL));
+    cluster.drain();
+    EXPECT_EQ(exported() - before, mpp.stats().snapshot());
+  }
+  // The middleware is gone; its counts stay in the series.
+  const auto after = exported() - before;
+  EXPECT_EQ(after.creates, 1u);
+  EXPECT_EQ(after.sync_calls, 1u);
+  EXPECT_EQ(after.one_way_calls, 1u);
+  EXPECT_GT(after.bytes_received, 0u);
+}

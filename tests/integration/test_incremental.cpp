@@ -98,7 +98,7 @@ TEST(IncrementalDevelopment, EachPluggingStepPreservesTheResult) {
       .distribute_method<&PrimeFilter::take_results>();
   ctx.attach(dist);
   EXPECT_EQ(run_core(ctx, gather), expected);
-  EXPECT_GT(rmi.stats().sync_calls.load(), 0u);
+  EXPECT_GT(rmi.stats().sync_calls.value(), 0u);
 
   // Unplug everything, inner-first: back to the sequential core.
   ctx.detach("Distribution");

@@ -549,5 +549,58 @@ TEST(Reactor, FaultInjectionComposesOverReactor) {
       faulty.invoke(handle, "get", as::encode(faulty.wire_format())),
       faulty.wire_format());
   EXPECT_EQ(value, delivered);
-  EXPECT_GT(faulty.fault_stats().dropped.load(), 0u);
+  EXPECT_GT(faulty.fault_stats().dropped.value(), 0u);
+}
+
+// --- one counter mechanism --------------------------------------------------
+
+TEST(Reactor, StatsTelemetryAndRegistryAreOneSetOfCounters) {
+  APAR_REQUIRE_LOOPBACK();
+  auto opts = reactor_options();
+  opts.reactor.max_inflight = 2;
+  ReactorRig rig(opts);
+  auto& mw = *rig.middleware;
+  const auto sleeper = mw.create(0, "Sleeper", as::encode(mw.wire_format()));
+
+  // Pipeline past the inflight cap so a reactor-only counter moves too.
+  net::Socket socket = net::dial(
+      rig.endpoint(), net::deadline_after(std::chrono::milliseconds(1000)));
+  std::vector<std::byte> burst;
+  for (int i = 0; i < 6; ++i) {
+    const auto frame = call_frame(static_cast<std::uint64_t>(i),
+                                  sleeper.object, "nap",
+                                  as::encode(mw.wire_format(), 5LL));
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  net::send_all(socket, burst.data(), burst.size(),
+                net::deadline_after(std::chrono::milliseconds(1000)));
+  const auto deadline = net::deadline_after(std::chrono::milliseconds(10000));
+  for (int i = 0; i < 6; ++i) (void)recv_reply(socket, deadline);
+
+  const std::string telemetry = mw.telemetry(0);
+  const auto stats = rig.server->stats();
+  ASSERT_GE(stats.backpressure_pauses, 1u);
+
+  // Every field of the server's set is in the registry under its label...
+  auto& registry = apar::obs::MetricsRegistry::global();
+  const apar::obs::Labels labels{
+      {"server", "tcp:" + std::to_string(rig.server->port())}};
+  stats.for_each([&](std::string_view field, std::uint64_t value) {
+    EXPECT_EQ(registry.value("net.server." + std::string(field), labels),
+              static_cast<std::int64_t>(value))
+        << field;
+  });
+  // ...and in the kTelemetry server block (fields the telemetry exchange
+  // itself does not move).
+  for (const char* field :
+       {"accepted", "backpressure_pauses", "protocol_errors", "frames_in"}) {
+    std::uint64_t value = 0;
+    stats.for_each([&](std::string_view name, std::uint64_t v) {
+      if (name == field) value = v;
+    });
+    EXPECT_NE(telemetry.find("\"" + std::string(field) +
+                             "\":" + std::to_string(value)),
+              std::string::npos)
+        << field;
+  }
 }

@@ -118,7 +118,7 @@ TEST(TcpConcurrency, DistributionAspectRunsOverSockets) {
   EXPECT_EQ(dist->placed(), 1u);
   // Name registration travelled the wire too (Figure 14's bind+lookup).
   EXPECT_EQ(server.name_server().size(), 1u);
-  EXPECT_GE(mw.stats().lookups.load(), 1u);
+  EXPECT_GE(mw.stats().lookups.value(), 1u);
 }
 
 TEST(TcpConcurrency, FaultInjectionComposesOverTcp) {
@@ -148,7 +148,7 @@ TEST(TcpConcurrency, FaultInjectionComposesOverTcp) {
   // Dropped calls were never forwarded: server state counts exactly the
   // delivered ones.
   EXPECT_EQ(value, delivered);
-  EXPECT_GT(faulty.fault_stats().dropped.load(), 0u);
+  EXPECT_GT(faulty.fault_stats().dropped.value(), 0u);
   EXPECT_TRUE(faulty.wire_transport());
 }
 
@@ -183,9 +183,9 @@ TEST(TcpConcurrency, HybridRoutesAcrossTwoTcpBackendsWithStatParity) {
   EXPECT_EQ(value, 10);
 
   // Fast-path traffic went compact, control traffic verbose.
-  EXPECT_EQ(fast.stats().sync_calls.load(), 5u);
-  EXPECT_EQ(control.stats().sync_calls.load(), 1u);
-  EXPECT_EQ(control.stats().creates.load(), 1u);
+  EXPECT_EQ(fast.stats().sync_calls.value(), 5u);
+  EXPECT_EQ(control.stats().sync_calls.value(), 1u);
+  EXPECT_EQ(control.stats().creates.value(), 1u);
 
   // Satellite check: the hybrid aggregate equals the per-backend sum on
   // EVERY field (Snapshot-based aggregation cannot drop a counter).

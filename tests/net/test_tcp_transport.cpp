@@ -47,9 +47,9 @@ TEST_P(TcpRoundTrip, CreateInvokeAndCopyRestore) {
   EXPECT_EQ(restored, (std::vector<long long>{0, 0, 0}));
 
   EXPECT_EQ(rig.server->dispatcher().object_count(), 1u);
-  EXPECT_EQ(mw.stats().sync_calls.load(), 3u);
-  EXPECT_GT(mw.stats().bytes_sent.load(), 0u);
-  EXPECT_GT(mw.stats().bytes_received.load(), 0u);
+  EXPECT_EQ(mw.stats().sync_calls.value(), 3u);
+  EXPECT_GT(mw.stats().bytes_sent.value(), 0u);
+  EXPECT_GT(mw.stats().bytes_received.value(), 0u);
 }
 
 TEST(TcpTransport, OneWayIsAckedAndExecuted) {
@@ -64,7 +64,7 @@ TEST(TcpTransport, OneWayIsAckedAndExecuted) {
       mw.invoke(handle, "get", as::encode(mw.wire_format())),
       mw.wire_format());
   EXPECT_EQ(value, 42);
-  EXPECT_EQ(mw.stats().one_way_calls.load(), 1u);
+  EXPECT_EQ(mw.stats().one_way_calls.value(), 1u);
 }
 
 TEST(TcpTransport, BindAndLookupThroughRegistryServer) {
@@ -78,7 +78,7 @@ TEST(TcpTransport, BindAndLookupThroughRegistryServer) {
   ASSERT_TRUE(resolved.has_value());
   EXPECT_EQ(*resolved, handle);
   EXPECT_FALSE(mw.lookup("unbound").has_value());
-  EXPECT_EQ(mw.stats().lookups.load(), 2u);
+  EXPECT_EQ(mw.stats().lookups.value(), 2u);
 }
 
 TEST(TcpTransport, ServerSideFailureSurfacesAsRpcError) {

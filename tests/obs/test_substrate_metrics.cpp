@@ -1,6 +1,8 @@
-// Substrate instrumentation end to end: with the metrics gate on, thread
-// pools, work queues, middlewares, nodes and the fault injector all feed
-// non-zero series into the global registry; with it off, nothing does.
+// Substrate instrumentation end to end: thread pools, work queues,
+// middlewares, nodes and the fault injector export their own counters to
+// the global registry at all times — the registry reads the same atomics
+// the components' stats() report — while latency/size histograms record
+// only while the metrics switch is on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,8 +35,12 @@ struct MetricsOn {
 };
 
 std::uint64_t counter_value(const char* name, obs::Labels labels = {}) {
-  return obs::MetricsRegistry::global().counter(name, std::move(labels))
-      ->value();
+  return static_cast<std::uint64_t>(
+      obs::MetricsRegistry::global().value(name, std::move(labels)));
+}
+
+std::int64_t level(const char* name, obs::Labels labels = {}) {
+  return obs::MetricsRegistry::global().value(name, std::move(labels));
 }
 
 sv::SieveConfig small_config(std::size_t filters) {
@@ -57,44 +63,68 @@ TEST(SubstrateMetrics, ThreadPoolFeedsRegistry) {
   const auto wait0 = reg.histogram("threadpool.wait_us")->count();
   {
     cc::ThreadPool pool(2);
-    EXPECT_EQ(reg.gauge("threadpool.workers")->value(), 2);
+    EXPECT_EQ(level("threadpool.workers"), 2);
     for (int i = 0; i < 10; ++i) pool.post([] {});
     pool.drain();
+    EXPECT_EQ(pool.stats().tasks.value(), 10u);
   }
+  // The pool is gone, its final count stays in the series.
   EXPECT_EQ(counter_value("threadpool.tasks"), tasks0 + 10);
   EXPECT_EQ(reg.histogram("threadpool.wait_us")->count(), wait0 + 10);
-  EXPECT_EQ(reg.gauge("threadpool.workers")->value(), 0);
-  EXPECT_EQ(reg.gauge("threadpool.queue_depth")->value(), 0);
+  EXPECT_EQ(level("threadpool.workers"), 0);
+  EXPECT_EQ(level("threadpool.queue_depth"), 0);
 }
 
 TEST(SubstrateMetrics, ThreadPoolSilentWhenDisabled) {
+  // The run-path series (tasks, busy_us and the histograms) need clock
+  // reads, so they stay silent with the switch off.
   obs::set_metrics_enabled(false);
+  auto& reg = obs::MetricsRegistry::global();
   const auto tasks0 = counter_value("threadpool.tasks");
+  const auto busy0 = counter_value("threadpool.busy_us");
+  const auto wait0 = reg.histogram("threadpool.wait_us")->count();
+  const auto run0 = reg.histogram("threadpool.run_us")->count();
   cc::ThreadPool pool(2);
   for (int i = 0; i < 5; ++i) pool.post([] {});
   pool.drain();
   EXPECT_EQ(counter_value("threadpool.tasks"), tasks0);
+  EXPECT_EQ(counter_value("threadpool.busy_us"), busy0);
+  EXPECT_EQ(reg.histogram("threadpool.wait_us")->count(), wait0);
+  EXPECT_EQ(reg.histogram("threadpool.run_us")->count(), run0);
+}
+
+TEST(SubstrateMetrics, SwitchReachesPoolsBuiltBeforeIt) {
+  // The switch is read per record, not latched at construction: turning it
+  // on mid-run needs no environment variable and no rebuilt component.
+  obs::set_metrics_enabled(false);
+  auto& reg = obs::MetricsRegistry::global();
+  cc::ThreadPool pool(2);
+  const auto run0 = reg.histogram("threadpool.run_us")->count();
+  {
+    MetricsOn on;
+    for (int i = 0; i < 4; ++i) pool.post([] {});
+    pool.drain();
+  }
+  EXPECT_EQ(reg.histogram("threadpool.run_us")->count(), run0 + 4);
 }
 
 TEST(SubstrateMetrics, WorkQueueDepthAndThroughput) {
-  MetricsOn on;
-  auto& reg = obs::MetricsRegistry::global();
+  // Counters and levels need no switch.
   cc::WorkQueue<int> queue;
   queue.enable_metrics("test.queue");
   const obs::Labels labels{{"queue", "test.queue"}};
   queue.push(1);
   queue.push(2);
-  EXPECT_EQ(reg.gauge("workqueue.depth", labels)->value(), 2);
+  EXPECT_EQ(level("workqueue.depth", labels), 2);
   EXPECT_EQ(queue.pop().value(), 1);
   EXPECT_EQ(queue.try_pop().value(), 2);
-  EXPECT_EQ(reg.gauge("workqueue.depth", labels)->value(), 0);
+  EXPECT_EQ(level("workqueue.depth", labels), 0);
   EXPECT_EQ(counter_value("workqueue.pushed", {{"queue", "test.queue"}}), 2u);
   EXPECT_EQ(counter_value("workqueue.popped", {{"queue", "test.queue"}}), 2u);
 }
 
 TEST(SubstrateMetrics, WorkQueueBatchOpsKeepCountsExact) {
-  MetricsOn on;
-  auto& reg = obs::MetricsRegistry::global();
+  // Counters and levels need no switch.
   cc::WorkQueue<int> queue;
   queue.enable_metrics("batch.queue");
   const obs::Labels labels{{"queue", "batch.queue"}};
@@ -102,13 +132,14 @@ TEST(SubstrateMetrics, WorkQueueBatchOpsKeepCountsExact) {
   const auto popped0 = counter_value("workqueue.popped", labels);
   std::vector<int> batch{1, 2, 3, 4, 5};
   queue.push_batch(batch);
-  EXPECT_EQ(reg.gauge("workqueue.depth", labels)->value(), 5);
+  EXPECT_EQ(level("workqueue.depth", labels), 5);
   EXPECT_EQ(counter_value("workqueue.pushed", labels), pushed0 + 5);
   EXPECT_EQ(queue.pop_batch(3).size(), 3u);
-  EXPECT_EQ(reg.gauge("workqueue.depth", labels)->value(), 2);
+  EXPECT_EQ(level("workqueue.depth", labels), 2);
   EXPECT_EQ(queue.pop_batch(10).size(), 2u);
-  EXPECT_EQ(reg.gauge("workqueue.depth", labels)->value(), 0);
+  EXPECT_EQ(level("workqueue.depth", labels), 0);
   EXPECT_EQ(counter_value("workqueue.popped", labels), popped0 + 5);
+  EXPECT_EQ(queue.stats().pushed.value(), 5u);
 }
 
 TEST(SubstrateMetrics, SchedulerStealAndOverflowSeries) {
@@ -174,14 +205,15 @@ TEST(SubstrateMetrics, FaultInjectorCountsIntoRegistry) {
 
   auto handle =
       mpp.create(0, "Counter", se::encode(mpp.wire_format(), 0LL));
-  const obs::Labels drop_labels{{"kind", "drop"},
-                                {"middleware", std::string(faulty.name())}};
-  const auto dropped0 = counter_value("faults.injected", drop_labels);
+  const obs::Labels labels{{"middleware", std::string(faulty.name())}};
+  const auto dropped0 = counter_value("faults.dropped", labels);
+  const auto intercepted0 = counter_value("faults.intercepted", labels);
   EXPECT_THROW(
       faulty.invoke(handle, "get", se::encode(faulty.wire_format())),
       cl::rpc::RpcError);
-  EXPECT_EQ(counter_value("faults.injected", drop_labels), dropped0 + 1);
-  EXPECT_EQ(faulty.fault_stats().dropped.load(), 1u);
+  EXPECT_EQ(counter_value("faults.dropped", labels), dropped0 + 1);
+  EXPECT_EQ(counter_value("faults.intercepted", labels), intercepted0 + 1);
+  EXPECT_EQ(faulty.fault_stats().dropped.value(), 1u);
   cluster.shutdown();
 }
 
@@ -205,12 +237,12 @@ TEST(HybridMiddleware, StatsAggregateControlAndFastBytes) {
 
   const auto& agg = hybrid.stats();
   const auto& fast = mpp.stats();
-  EXPECT_GT(fast.bytes_sent.load(), 0u);
-  EXPECT_EQ(agg.creates.load(), 1u);
-  EXPECT_EQ(agg.sync_calls.load(), 1u);
-  EXPECT_EQ(agg.bytes_sent.load(),
-            rmi.stats().bytes_sent.load() + fast.bytes_sent.load());
-  EXPECT_EQ(agg.bytes_received.load(),
-            rmi.stats().bytes_received.load() + fast.bytes_received.load());
+  EXPECT_GT(fast.bytes_sent.value(), 0u);
+  EXPECT_EQ(agg.creates.value(), 1u);
+  EXPECT_EQ(agg.sync_calls.value(), 1u);
+  EXPECT_EQ(agg.bytes_sent.value(),
+            rmi.stats().bytes_sent.value() + fast.bytes_sent.value());
+  EXPECT_EQ(agg.bytes_received.value(),
+            rmi.stats().bytes_received.value() + fast.bytes_received.value());
   cluster.shutdown();
 }

@@ -126,7 +126,7 @@ TEST(TraceChaos, DuplicatedDeliveriesKeepParentingConsistent) {
   auto ref = rig.ctx.create<SlowStage>(2LL, 0LL);
   for (int i = 0; i < 40; ++i)
     EXPECT_EQ(rig.ctx.call<&SlowStage::query>(ref, 1LL), 3LL);
-  EXPECT_GT(rig.faulty->fault_stats().duplicated.load(), 0u);
+  EXPECT_GT(rig.faulty->fault_stats().duplicated.value(), 0u);
 
   // At-least-once delivery duplicates the WIRE operation, not the traced
   // join point: still exactly one closed span per logical call.

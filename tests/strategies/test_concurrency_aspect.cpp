@@ -62,14 +62,16 @@ TEST(ConcurrencyAspect, MonitorPreventsConcurrentEntry) {
 TEST(ConcurrencyAspect, WithoutAspectRacesAreExposed) {
   // Control experiment: driving the same object from raw threads without
   // the concurrency aspect's monitor does overlap — the aspect is what
-  // prevents it.
+  // prevents it. Only filter() runs here: process() would also append to
+  // the stage's unguarded results vector from every thread at once, a
+  // real data race that corrupts the heap.
   aop::Context ctx;
   auto stage = ctx.create<SlowStage>(0LL, 2'000LL);
   std::vector<std::thread> threads;
   for (int i = 0; i < 8; ++i)
     threads.emplace_back([&] {
       std::vector<long long> pack{1};
-      stage.local()->process(pack);
+      stage.local()->filter(pack);
     });
   for (auto& t : threads) t.join();
   EXPECT_TRUE(stage.local()->overlapped());

@@ -119,7 +119,7 @@ TEST_P(DistributedHeartbeat, RemoteBandsMatchSequentialExactly) {
   EXPECT_EQ(heart->beats(), static_cast<std::size_t>(kIters));
 
   // Every band landed on a node; halo traffic crossed the wire.
-  EXPECT_GT(mw->stats().sync_calls.load(), 0u);
+  EXPECT_GT(mw->stats().sync_calls.value(), 0u);
   ctx.detach("Distribution");
   ctx.quiesce();
 }

@@ -128,8 +128,8 @@ TEST(DistributionAspect, OneWayUsedOnlyWhenMiddlewareSupportsIt) {
     auto ref = ctx.create<SlowStage>(0LL, 0LL);
     std::vector<long long> pack{1};
     ctx.call<&SlowStage::process>(ref, pack);
-    EXPECT_EQ(rmi.middleware->stats().one_way_calls.load(), 0u);
-    EXPECT_GT(rmi.middleware->stats().sync_calls.load(), 0u);
+    EXPECT_EQ(rmi.middleware->stats().one_way_calls.value(), 0u);
+    EXPECT_GT(rmi.middleware->stats().sync_calls.value(), 0u);
   }
   {
     DistFixture mpp(true);
@@ -139,7 +139,7 @@ TEST(DistributionAspect, OneWayUsedOnlyWhenMiddlewareSupportsIt) {
     std::vector<long long> pack{1};
     ctx.call<&SlowStage::process>(ref, pack);
     ctx.quiesce();
-    EXPECT_EQ(mpp.middleware->stats().one_way_calls.load(), 1u);
+    EXPECT_EQ(mpp.middleware->stats().one_way_calls.value(), 1u);
   }
 }
 
@@ -152,7 +152,7 @@ TEST(DistributionAspect, NamesRegisteredLikeFigure14) {
   auto names = fx.cluster->name_server().names();
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, (std::vector<std::string>{"PS1", "PS2"}));
-  EXPECT_GT(fx.middleware->stats().lookups.load(), 0u);
+  EXPECT_GT(fx.middleware->stats().lookups.value(), 0u);
 }
 
 TEST(DistributionAspect, NameRegistrationCanBeDisabled) {
@@ -163,7 +163,7 @@ TEST(DistributionAspect, NameRegistrationCanBeDisabled) {
   ctx.attach(fx.make_aspect(opts));
   ctx.create<SlowStage>(0LL, 0LL);
   EXPECT_EQ(fx.cluster->name_server().size(), 0u);
-  EXPECT_EQ(fx.middleware->stats().lookups.load(), 0u);
+  EXPECT_EQ(fx.middleware->stats().lookups.value(), 0u);
 }
 
 TEST(DistributionAspect, LocalRefsPassThroughUntouched) {
@@ -175,7 +175,7 @@ TEST(DistributionAspect, LocalRefsPassThroughUntouched) {
   std::vector<long long> pack{1};
   ctx.call<&SlowStage::filter>(local, pack);
   EXPECT_EQ(pack, (std::vector<long long>{4}));
-  EXPECT_EQ(fx.middleware->stats().sync_calls.load(), 0u);
+  EXPECT_EQ(fx.middleware->stats().sync_calls.value(), 0u);
 }
 
 TEST(DistributionAspect, PipelineOverMppUsesSyncForwardingCalls) {
@@ -213,7 +213,7 @@ TEST(DistributionAspect, PipelineOverMppUsesSyncForwardingCalls) {
   // Every element passed stages +1, +10, +100 in order.
   for (long long v : results) EXPECT_EQ(v, 111);
   // filter calls were synchronous; only collect may have gone one-way.
-  EXPECT_GE(mpp.middleware->stats().sync_calls.load(), 9u);
+  EXPECT_GE(mpp.middleware->stats().sync_calls.value(), 9u);
 }
 
 TEST(DistributionAspect, ComposesWithFarmAndConcurrency) {

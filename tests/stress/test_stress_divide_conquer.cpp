@@ -102,7 +102,7 @@ TEST(StressDivideConquer, DistributedSortUnderInjectedDelaysStaysExact) {
   EXPECT_EQ(ctx.call<&SortSolver::solve>(root, problem),
             sorted_copy(problem));
   EXPECT_GE(dnc->solvers_created(), 2u);
-  EXPECT_GT(faulty.fault_stats().intercepted.load(), 0u);
+  EXPECT_GT(faulty.fault_stats().intercepted.value(), 0u);
   ctx.detach("Distribution");
   ctx.quiesce();
 }

@@ -58,7 +58,7 @@ TEST(FaultInjection, SyncDropsFailCleanlyAndStateMatchesSuccesses) {
     }
   }
   const auto dropped =
-      static_cast<long long>(faulty.fault_stats().dropped.load());
+      static_cast<long long>(faulty.fault_stats().dropped.value());
   EXPECT_EQ(successes, 100 - dropped);
   EXPECT_GT(dropped, 0) << "seed " << seed << " injected no drops at 30%";
 
@@ -81,7 +81,7 @@ TEST(FaultInjection, DuplicatedSyncCallsAreAtLeastOnce) {
   for (int i = 0; i < 50; ++i) add_one(faulty, handle);
 
   const auto duplicated =
-      static_cast<long long>(faulty.fault_stats().duplicated.load());
+      static_cast<long long>(faulty.fault_stats().duplicated.value());
   faulty.set_armed(false);
   // At-least-once delivery: every duplicate executed the add a second time.
   EXPECT_EQ(read_value(faulty, handle), 50 + duplicated);
@@ -112,11 +112,11 @@ TEST(FaultInjection, OneWayLossIsSilentAndFullyAccounted) {
   EXPECT_NO_THROW(cluster.drain());
 
   const auto dropped =
-      static_cast<long long>(faulty.fault_stats().dropped.load());
+      static_cast<long long>(faulty.fault_stats().dropped.value());
   const auto duplicated =
-      static_cast<long long>(faulty.fault_stats().duplicated.load());
+      static_cast<long long>(faulty.fault_stats().duplicated.value());
   EXPECT_EQ(read_value(rmi, handle), 80 - dropped + duplicated);
-  EXPECT_EQ(faulty.fault_stats().intercepted.load(), 80u);
+  EXPECT_EQ(faulty.fault_stats().intercepted.value(), 80u);
 }
 
 TEST(FaultInjection, CrashOnNthCallKillsTargetNodeWithoutHanging) {
@@ -146,7 +146,7 @@ TEST(FaultInjection, CrashOnNthCallKillsTargetNodeWithoutHanging) {
   EXPECT_EQ(successes, 4);
   EXPECT_EQ(failures, 6);
   EXPECT_TRUE(cluster.node(1).crashed());
-  EXPECT_EQ(faulty.fault_stats().crashes.load(), 1u);
+  EXPECT_EQ(faulty.fault_stats().crashes.value(), 1u);
 }
 
 TEST(FaultInjection, DisarmedInjectionIsTransparent) {
@@ -163,9 +163,9 @@ TEST(FaultInjection, DisarmedInjectionIsTransparent) {
   for (int i = 0; i < 20; ++i) add_one(faulty, handle);
   EXPECT_EQ(read_value(faulty, handle), 20);
   // Not a single decision was consumed or logged.
-  EXPECT_EQ(faulty.fault_stats().intercepted.load(), 0u);
+  EXPECT_EQ(faulty.fault_stats().intercepted.value(), 0u);
   EXPECT_TRUE(faulty.schedule_dump().empty());
-  EXPECT_GE(rmi.stats().sync_calls.load(), 21u);  // 20 adds + 1 get
+  EXPECT_GE(rmi.stats().sync_calls.value(), 21u);  // 20 adds + 1 get
 }
 
 TEST(FaultInjection, HybridOverWrappedBackendsKeepsRoutedCallsFaulty) {
@@ -195,7 +195,7 @@ TEST(FaultInjection, HybridOverWrappedBackendsKeepsRoutedCallsFaulty) {
   for (int i = 0; i < 10; ++i)
     fast.invoke_one_way(handle, "add", as::encode(fast.wire_format(), 1LL));
   cluster.drain();
-  EXPECT_EQ(faulty_mpp.fault_stats().intercepted.load(), 10u);
+  EXPECT_EQ(faulty_mpp.fault_stats().intercepted.value(), 10u);
   EXPECT_EQ(read_value(hybrid.route_for("get"), handle), 10);
-  EXPECT_GE(faulty_rmi.fault_stats().intercepted.load(), 1u);
+  EXPECT_GE(faulty_rmi.fault_stats().intercepted.value(), 1u);
 }
