@@ -24,13 +24,10 @@ namespace apar::concurrency {
 
 /// ThreadPool counters, exported as threadpool.<field> (process-wide sum
 /// over all pools): task_failures (posted tasks whose exception escaped),
-/// steals, overflow (owner-deque overflows routed to the injection queue),
-/// resizes (resize() calls that changed the target), and tasks run and
-/// their busy_us run time. The last two advance with the run_us histogram,
-/// only while obs::metrics_enabled(): a shared counter bumped by every
-/// task would put a contended write on the scheduler's hot path.
+/// steals, overflow (owner-deque overflows routed to the injection queue)
+/// and resizes (resize() calls that changed the target).
 #define APAR_THREAD_POOL_STATS_FIELDS(X) \
-  X(tasks) X(task_failures) X(steals) X(overflow) X(resizes) X(busy_us)
+  X(task_failures) X(steals) X(overflow) X(resizes)
 APAR_OBS_COUNTER_SET(ThreadPoolStats, APAR_THREAD_POOL_STATS_FIELDS);
 
 namespace detail {
@@ -274,13 +271,17 @@ class ThreadPool {
 
   // Series (process-wide sums over all pools): the counters above, the
   // levels threadpool.workers (size()) and threadpool.queue_depth (tasks
-  // accepted but not yet claimed), and the histograms threadpool.wait_us /
-  // threadpool.queue_wait (the submit→start gap, the AdaptationAspect's key
-  // signal) / threadpool.run_us, which record only while
-  // obs::metrics_enabled().
+  // accepted but not yet claimed), and the run-path series, which record
+  // only while obs::metrics_enabled() — a shared write per task would
+  // contend on the scheduler's hot path: the histograms threadpool.wait_us
+  // / threadpool.queue_wait (the submit→start gap, the AdaptationAspect's
+  // key signal) / threadpool.run_us, and beside run_us the counters
+  // threadpool.tasks and threadpool.busy_us (its count and summed µs).
   std::shared_ptr<obs::Histogram> wait_us_;
   std::shared_ptr<obs::Histogram> queue_wait_us_;
   std::shared_ptr<obs::Histogram> run_us_;
+  std::shared_ptr<obs::Counter> tasks_;
+  std::shared_ptr<obs::Counter> busy_us_;
   ThreadPoolStats stats_;
   obs::Export workers_export_;  ///< last: unlisted before the pool dies
   obs::Export queue_depth_export_;

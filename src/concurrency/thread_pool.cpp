@@ -140,6 +140,8 @@ ThreadPool::ThreadPool(std::size_t threads, std::size_t max_threads) {
   wait_us_ = registry.histogram("threadpool.wait_us");
   queue_wait_us_ = registry.histogram("threadpool.queue_wait");
   run_us_ = registry.histogram("threadpool.run_us");
+  tasks_ = registry.counter("threadpool.tasks");
+  busy_us_ = registry.counter("threadpool.busy_us");
   stats_.export_as("threadpool", {});
   workers_export_ = registry.export_gauge("threadpool.workers", {}, [this] {
     return static_cast<std::int64_t>(size());
@@ -398,8 +400,8 @@ void ThreadPool::run_node(TaskNode* node) {
                           .count() /
                       1000.0;
     run_us_->record(us);
-    stats_.tasks.add();
-    stats_.busy_us.add(static_cast<std::uint64_t>(us));
+    tasks_->add();
+    busy_us_->add(static_cast<std::uint64_t>(us));
   }
   destroy_node(node);
   if (active_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&

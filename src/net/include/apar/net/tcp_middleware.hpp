@@ -17,11 +17,11 @@
 
 namespace apar::net {
 
-/// TcpMiddleware's wire-level accounting, exported as net.<field>
-/// {middleware}: frame bytes INCLUDING headers, where the inherited
-/// MiddlewareStats counts payload bytes only, mirroring what the simulated
-/// middlewares charge. connects: fresh dials; reconnects: dials after the
-/// first, per endpoint; retries: lookup retry attempts.
+/// TcpMiddleware's wire-level accounting for one endpoint, exported as
+/// net.<field>{endpoint}: frame bytes INCLUDING headers, where the
+/// inherited MiddlewareStats counts payload bytes only, mirroring what the
+/// simulated middlewares charge. connects: fresh dials; reconnects: dials
+/// after the first; retries: lookup retry attempts.
 #define APAR_NET_STATS_FIELDS(X)                                      \
   X(connects) X(reconnects) X(retries) X(frames_sent) X(frames_received) \
   X(wire_bytes_sent) X(wire_bytes_received)
@@ -74,7 +74,8 @@ class TcpMiddleware final : public cluster::Middleware {
     std::string name = "TCP";
   };
 
-  /// Copyable snapshot of the wire-level accounting.
+  /// Copyable snapshot of the wire-level accounting (one endpoint's, or
+  /// the sum over all of them).
   using NetCounters = NetStats::Snapshot;
 
   explicit TcpMiddleware(Options options);
@@ -114,17 +115,16 @@ class TcpMiddleware final : public cluster::Middleware {
 
   /// Fetch the node's kTelemetry snapshot: metrics-registry JSON plus
   /// server counters, optionally including (and optionally flushing) the
-  /// node's tagged trace buffer, optionally turning the node's histograms
-  /// on first. Returns the server's raw JSON string.
+  /// node's tagged trace buffer. Returns the server's raw JSON string.
   [[nodiscard]] std::string telemetry(cluster::NodeId node,
                                       bool include_trace = false,
-                                      bool flush_trace = false,
-                                      bool enable_metrics = false);
+                                      bool flush_trace = false);
 
   [[nodiscard]] const std::vector<Endpoint>& endpoints() const {
     return options_.endpoints;
   }
-  [[nodiscard]] NetCounters net_counters() const { return net_.snapshot(); }
+  /// Wire accounting summed over every endpoint.
+  [[nodiscard]] NetCounters net_counters() const;
   [[nodiscard]] ConnectionPool& pool() { return pool_; }
 
   /// Lookup-cache traffic (hits mean registry round-trips not taken);
@@ -163,16 +163,17 @@ class TcpMiddleware final : public cluster::Middleware {
   std::unique_ptr<cache::ShardedLru<std::string, cluster::RemoteHandle>>
       lookup_cache_;
   std::atomic<std::uint64_t> next_request_id_{1};
-  /// Per-endpoint "ever dialed" flags: a dial after the first is a
-  /// reconnect (the previous connection went away).
-  std::unique_ptr<std::atomic<bool>[]> dialed_;
 
-  NetStats net_;
-
-  /// Per-endpoint round-trip histograms, indexed like endpoints and
-  /// labelled {"endpoint": "<host:port>"}; record while
-  /// obs::metrics_enabled().
-  std::vector<std::shared_ptr<obs::Histogram>> rtt_us_;
+  /// One per endpoint, indexed like Options::endpoints.
+  struct PerEndpoint {
+    NetStats net;
+    /// net.rtt_us{endpoint}; records while obs::metrics_enabled().
+    std::shared_ptr<obs::Histogram> rtt_us;
+    /// A dial after the first is a reconnect (the previous connection
+    /// went away).
+    std::atomic<bool> dialed{false};
+  };
+  std::unique_ptr<PerEndpoint[]> per_endpoint_;
 };
 
 /// The distribution aspect's placement view over a set of TCP servers.

@@ -114,10 +114,9 @@ class TcpServer {
                     std::vector<std::byte> payload);
   void send_frame(Socket& socket, FrameHeader header,
                   const std::vector<std::byte>& payload);
-  /// kTelemetry reply body: node identity, whether histograms record,
-  /// every server counter, and the global metrics-registry JSON; tflags
-  /// bit 0 adds the tagged trace buffer, bit 1 flushes (drains) it in the
-  /// same exchange, bit 2 turns histograms on first.
+  /// kTelemetry reply body: node identity, every server counter, and the
+  /// global metrics-registry JSON; tflags bit 0 adds the tagged trace
+  /// buffer, bit 1 flushes (drains) it in the same exchange.
   [[nodiscard]] std::string telemetry_json(std::uint8_t tflags) const;
 
   Options options_;

@@ -17,7 +17,13 @@ TcpMiddleware::TcpMiddleware(Options options)
   if (options_.endpoints.empty())
     throw NetError(NetError::Kind::kConnect,
                    "TcpMiddleware needs at least one endpoint");
-  dialed_ = std::make_unique<std::atomic<bool>[]>(options_.endpoints.size());
+  per_endpoint_ = std::make_unique<PerEndpoint[]>(options_.endpoints.size());
+  auto& reg = obs::MetricsRegistry::global();
+  for (std::size_t i = 0; i < options_.endpoints.size(); ++i) {
+    const obs::Labels labels{{"endpoint", options_.endpoints[i].str()}};
+    per_endpoint_[i].net.export_as("net", labels);
+    per_endpoint_[i].rtt_us = reg.histogram("net.rtt_us", labels);
+  }
   if (options_.lookup_cache_entries > 0) {
     cache::ShardedLru<std::string, cluster::RemoteHandle>::Options co;
     co.shards = 4;
@@ -28,10 +34,13 @@ TcpMiddleware::TcpMiddleware(Options options)
         cache::ShardedLru<std::string, cluster::RemoteHandle>>(std::move(co));
   }
   stats_.export_as("middleware", {{"middleware", name_}});
-  net_.export_as("net", {{"middleware", name_}});
-  auto& reg = obs::MetricsRegistry::global();
-  for (const Endpoint& ep : options_.endpoints)
-    rtt_us_.push_back(reg.histogram("net.rtt_us", {{"endpoint", ep.str()}}));
+}
+
+TcpMiddleware::NetCounters TcpMiddleware::net_counters() const {
+  NetCounters sum;
+  for (std::size_t i = 0; i < options_.endpoints.size(); ++i)
+    sum += per_endpoint_[i].net.snapshot();
+  return sum;
 }
 
 const Endpoint& TcpMiddleware::endpoint_for(cluster::NodeId node) const {
@@ -85,6 +94,7 @@ TcpMiddleware::Exchange TcpMiddleware::exchange(
     std::size_t endpoint_index, FrameHeader::Op op,
     std::vector<std::byte> payload, std::uint8_t flags) {
   const Endpoint& ep = options_.endpoints[endpoint_index];
+  PerEndpoint& per = per_endpoint_[endpoint_index];
   const bool timed = obs::metrics_enabled();
   const auto started = timed ? std::chrono::steady_clock::now()
                              : std::chrono::steady_clock::time_point{};
@@ -92,9 +102,9 @@ TcpMiddleware::Exchange TcpMiddleware::exchange(
   auto checkout =
       pool_.acquire(ep, deadline_after(options_.connect_deadline));
   if (!checkout.reused) {
-    net_.connects.add();
-    if (dialed_[endpoint_index].exchange(true, std::memory_order_relaxed))
-      net_.reconnects.add();
+    per.net.connects.add();
+    if (per.dialed.exchange(true, std::memory_order_relaxed))
+      per.net.reconnects.add();
   }
   Socket socket = std::move(checkout.socket);
 
@@ -114,8 +124,8 @@ TcpMiddleware::Exchange TcpMiddleware::exchange(
     send_all(socket, header_bytes.data(), header_bytes.size(), deadline);
     if (!payload.empty())
       send_all(socket, payload.data(), payload.size(), deadline);
-    net_.frames_sent.add();
-    net_.wire_bytes_sent.add(header_bytes.size() + payload.size());
+    per.net.frames_sent.add();
+    per.net.wire_bytes_sent.add(header_bytes.size() + payload.size());
 
     std::array<std::byte, FrameHeader::kSize> reply_bytes;
     recv_exact(socket, reply_bytes.data(), reply_bytes.size(), deadline);
@@ -129,10 +139,11 @@ TcpMiddleware::Exchange TcpMiddleware::exchange(
     if (reply_header.payload_len > 0)
       recv_exact(socket, reply_payload.data(), reply_payload.size(),
                  deadline);
-    net_.frames_received.add();
-    net_.wire_bytes_received.add(reply_bytes.size() + reply_payload.size());
+    per.net.frames_received.add();
+    per.net.wire_bytes_received.add(reply_bytes.size() +
+                                    reply_payload.size());
     if (timed)
-      rtt_us_[endpoint_index]->record(
+      per.rtt_us->record(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - started)
               .count() /
@@ -257,7 +268,7 @@ std::optional<cluster::RemoteHandle> TcpMiddleware::lookup(
       if (e.kind() == NetError::Kind::kProtocol ||
           attempt >= options_.max_lookup_retries)
         throw;
-      net_.retries.add();
+      per_endpoint_[0].net.retries.add();  // lookups go to the registry
       std::this_thread::sleep_for(backoff);
       backoff = std::min(backoff * 2, options_.backoff_max);
     }
@@ -276,13 +287,12 @@ void TcpMiddleware::bind_name(std::string name,
 }
 
 std::string TcpMiddleware::telemetry(cluster::NodeId node, bool include_trace,
-                                     bool flush_trace, bool enable_metrics) {
+                                     bool flush_trace) {
   endpoint_for(node);
   std::vector<std::byte> payload;
   std::uint8_t tflags = 0;
   if (include_trace || flush_trace) tflags |= 0x01;
   if (flush_trace) tflags |= 0x02;
-  if (enable_metrics) tflags |= 0x04;
   payload.push_back(static_cast<std::byte>(tflags));
   Exchange ex = roundtrip(node, FrameHeader::Op::kTelemetry,
                           std::move(payload));

@@ -215,10 +215,6 @@ ReplyAction TcpServer::process_request(const FrameHeader& header,
       }
       case FrameHeader::Op::kTelemetry: {
         const std::uint8_t tflags = env.rest_size() > 0 ? env.u8() : 0;
-        // Bit 2 switches this process's histograms on: a live server can
-        // be asked for latency breakdowns without a restart or an
-        // environment variable.
-        if (tflags & 0x04) obs::set_metrics_enabled(true);
         reply = message_bytes(telemetry_json(tflags));
         break;
       }
@@ -269,8 +265,6 @@ std::string TcpServer::telemetry_json(std::uint8_t tflags) const {
      << ",\"pid\":" << ::getpid()
      << ",\"port\":" << listener_.port()
      << ",\"uptime_us\":" << uptime
-     << ",\"metrics_enabled\":"
-     << (obs::metrics_enabled() ? "true" : "false")
      << ",\"server\":{";
   const char* sep = "";
   s.for_each([&](std::string_view name, std::uint64_t value) {

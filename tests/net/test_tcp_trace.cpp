@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "apar/net/error.hpp"
-#include "apar/obs/metrics.hpp"
 #include "apar/obs/trace_context.hpp"
 #include "apar/obs/tracer.hpp"
 #include "net_fixtures.hpp"
@@ -144,33 +143,6 @@ TEST(TcpTrace, TelemetryOpReturnsMetricsJson) {
   EXPECT_NE(with_trace.find("\"trace\":{\"tag\":\""), std::string::npos);
   EXPECT_NE(with_trace.find("\"dropped\":"), std::string::npos);
   EXPECT_NE(with_trace.find("\"events\":["), std::string::npos);
-}
-
-TEST(TcpTrace, TelemetryTurnsHistogramsOnWithoutARestart) {
-  APAR_REQUIRE_LOOPBACK();
-  obs::set_metrics_enabled(false);
-  TcpRig rig;
-  auto& mw = *rig.middleware;
-  const auto handle =
-      mw.create(0, "Counter", as::encode(mw.wire_format(), 1LL));
-  auto rtt = obs::MetricsRegistry::global().histogram(
-      "net.rtt_us", {{"endpoint", mw.endpoints()[0].str()}});
-  const auto before = rtt->count();
-  mw.invoke(handle, "get", as::encode(mw.wire_format()));
-  EXPECT_EQ(rtt->count(), before);  // switch off: no clock reads
-  EXPECT_NE(mw.telemetry(0).find("\"metrics_enabled\":false"),
-            std::string::npos);
-
-  // Server and middleware were built with the switch off; one telemetry
-  // request turns it on for every component that already exists.
-  const std::string on = mw.telemetry(0, /*include_trace=*/false,
-                                      /*flush_trace=*/false,
-                                      /*enable_metrics=*/true);
-  EXPECT_NE(on.find("\"metrics_enabled\":true"), std::string::npos) << on;
-  const auto enabled_at = rtt->count();
-  mw.invoke(handle, "get", as::encode(mw.wire_format()));
-  EXPECT_EQ(rtt->count(), enabled_at + 1);
-  obs::set_metrics_enabled(false);
 }
 
 TEST(TcpTrace, TelemetryFlushDrainsTheTraceBuffer) {

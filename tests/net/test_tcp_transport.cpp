@@ -4,15 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 
 #include "apar/cluster/rpc.hpp"
 #include "apar/net/error.hpp"
+#include "apar/obs/metrics.hpp"
 #include "net_fixtures.hpp"
 
 namespace ac = apar::cluster;
 namespace as = apar::serial;
 namespace net = apar::net;
+namespace obs = apar::obs;
 using apar::test::TcpRig;
 
 class TcpRoundTrip : public ::testing::TestWithParam<as::Format> {};
@@ -116,6 +119,42 @@ TEST(TcpTransport, ConnectionPoolReusesOneConnection) {
     mw.invoke(handle, "add", as::encode(mw.wire_format(), 1LL));
   EXPECT_EQ(mw.net_counters().connects, 1u);
   EXPECT_EQ(mw.pool().stats().reuses, 10u);
+}
+
+TEST(TcpTransport, WireCountersAreExportedPerEndpoint) {
+  APAR_REQUIRE_LOOPBACK();
+  TcpRig a;
+  TcpRig b;
+  net::TcpMiddleware::Options mopts;
+  mopts.endpoints = {{"127.0.0.1", a.server->port()},
+                     {"127.0.0.1", b.server->port()}};
+  net::TcpMiddleware mw(mopts);
+  const auto& eps = mw.endpoints();
+  auto& registry = obs::MetricsRegistry::global();
+  const auto series = [&](const char* field, const net::Endpoint& ep) {
+    return static_cast<std::uint64_t>(registry.value(
+        std::string("net.") + field, {{"endpoint", ep.str()}}));
+  };
+  // Earlier servers may have had the same port; count from here.
+  const auto frames_a0 = series("frames_sent", eps[0]);
+  const auto frames_b0 = series("frames_sent", eps[1]);
+  const auto connects_b0 = series("connects", eps[1]);
+
+  const auto on_a = mw.create(0, "Counter", as::encode(mw.wire_format(), 0LL));
+  const auto on_b = mw.create(1, "Counter", as::encode(mw.wire_format(), 0LL));
+  for (int i = 0; i < 3; ++i)
+    mw.invoke(on_b, "add", as::encode(mw.wire_format(), 1LL));
+  mw.invoke(on_a, "get", as::encode(mw.wire_format()));
+
+  // Each server's series shows its own traffic; net_counters() sums them.
+  EXPECT_EQ(series("frames_sent", eps[0]) - frames_a0, 2u);
+  EXPECT_EQ(series("frames_sent", eps[1]) - frames_b0, 4u);
+  EXPECT_EQ(series("connects", eps[1]) - connects_b0, 1u);
+  const auto total = mw.net_counters();
+  EXPECT_EQ(total.frames_sent, 6u);
+  EXPECT_EQ(total.frames_received, 6u);
+  EXPECT_EQ(total.connects, 2u);
+  EXPECT_EQ(total.reconnects, 0u);
 }
 
 TEST(TcpTransport, StalledServerHitsClientDeadlineNotAHang) {

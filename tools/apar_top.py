@@ -4,13 +4,12 @@
 Polls one or more servers over the frame protocol's kTelemetry op and
 renders a refreshing table of server counters and metric series —
 counters with per-interval rates, histograms with count/p50/p95/p99/p999
-(threadpool.queue_wait fills once the server's histograms are on:
-APAR_METRICS at start, or --enable-metrics at any time). Stdlib only; speaks the 18-byte frame header directly
+(threadpool.queue_wait shows up here once the server has tracing or
+metrics enabled). Stdlib only; speaks the 18-byte frame header directly
 so it needs no build artifacts.
 
   tools/apar_top.py 127.0.0.1:7077 127.0.0.1:7078
   tools/apar_top.py --interval 0.5 --iterations 3 --plain HOST:PORT  # CI
-  tools/apar_top.py --enable-metrics --iterations 1 HOST:PORT  # histograms on
 
 Exit status: 0 if every endpoint answered at least once, 1 otherwise.
 """
@@ -40,12 +39,9 @@ def recv_exact(sock, n):
     return buf
 
 
-def fetch_telemetry(host, port, timeout, include_trace=False, flush=False,
-                    enable_metrics=False):
-    """One kTelemetry round trip; returns the parsed JSON document.
-    enable_metrics asks the server to switch its histograms on first."""
-    tflags = ((1 if include_trace or flush else 0) | (2 if flush else 0) |
-              (4 if enable_metrics else 0))
+def fetch_telemetry(host, port, timeout, include_trace=False, flush=False):
+    """One kTelemetry round trip; returns the parsed JSON document."""
+    tflags = (1 if include_trace or flush else 0) | (2 if flush else 0)
     payload = bytes([tflags])
     with socket.create_connection((host, port), timeout=timeout) as sock:
         sock.sendall(
@@ -167,9 +163,6 @@ def main():
     ap.add_argument("--timeout", type=float, default=2.0)
     ap.add_argument("--plain", action="store_true",
                     help="append frames instead of redrawing (CI logs)")
-    ap.add_argument("--enable-metrics", action="store_true",
-                    help="switch the servers' latency histograms on (no "
-                         "restart or APAR_METRICS needed)")
     ap.add_argument("--dump", metavar="PATH",
                     help="write the first endpoint's last raw telemetry "
                          "JSON to PATH (for check_obs.py --telemetry)")
@@ -192,9 +185,7 @@ def main():
             docs = {}
             for ep, host, port in targets:
                 try:
-                    docs[ep] = fetch_telemetry(
-                        host, port, args.timeout,
-                        enable_metrics=args.enable_metrics)
+                    docs[ep] = fetch_telemetry(host, port, args.timeout)
                     answered.add(ep)
                 except (OSError, ValueError, ConnectionError):
                     docs[ep] = None

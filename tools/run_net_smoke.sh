@@ -67,9 +67,7 @@ command -v "$PY" >/dev/null 2>&1 || { echo "run_net_smoke: python3 missing — s
 
 TRACE_DIR="$(mktemp -d)"
 rm -f "$PORT_FILE"
-# No APAR_METRICS here: the first telemetry poll switches the live
-# server's histograms on.
-APAR_TRACE_OUT="$TRACE_DIR/server.json" \
+APAR_TRACE_OUT="$TRACE_DIR/server.json" APAR_METRICS=1 \
   "$SERVER" --port-file "$PORT_FILE" --run-seconds 120 &
 SERVER_PID=$!
 trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$TRACE_DIR"' EXIT
@@ -79,8 +77,6 @@ for _ in $(seq 1 200); do
 done
 [ -s "$PORT_FILE" ] || { echo "run_net_smoke: no port for traced round" >&2; exit 1; }
 PORT="$(cat "$PORT_FILE")"
-"$PY" tools/apar_top.py --plain --iterations 1 --enable-metrics \
-  "127.0.0.1:$PORT" > /dev/null
 
 echo "=== traced sieve over tcp://127.0.0.1:$PORT ==="
 APAR_TRACE_OUT="$TRACE_DIR/client.json" \
