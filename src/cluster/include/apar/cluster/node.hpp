@@ -90,12 +90,11 @@ class Node {
   std::atomic<bool> stopped_{false};
   std::atomic<bool> crashed_{false};
 
-  // node.handled{node} is always exported; node.handle_us records only
-  // while obs::metrics_enabled(). The mailbox exports its own series
-  // ("node<N>.mailbox").
+  // node.handle_us{node} and, beside it, its count node.handled{node}
+  // record only while obs::metrics_enabled(), like the mailbox's
+  // throughput series ("node<N>.mailbox").
   std::shared_ptr<obs::Histogram> handle_us_;
-  obs::Counter handled_;
-  obs::Export handled_export_;  ///< after handled_: unlisted first
+  std::shared_ptr<obs::Counter> handled_;
 };
 
 }  // namespace apar::cluster

@@ -18,8 +18,7 @@ Node::Node(Cluster& cluster, NodeId id, const rpc::Registry& registry,
   auto& reg = obs::MetricsRegistry::global();
   const obs::Labels labels{{"node", std::to_string(id_)}};
   handle_us_ = reg.histogram("node.handle_us", labels);
-  const obs::CounterField handled[] = {{"handled", &handled_}};
-  handled_export_ = reg.export_counters("node", labels, handled);
+  handled_ = reg.counter("node.handled", labels);
   executors_.reserve(executors);
   for (std::size_t i = 0; i < executors; ++i)
     executors_.emplace_back([this] { executor_loop(); });
@@ -89,12 +88,13 @@ void Node::handle(Message& msg) {
       cluster_.one_way_finished(e.what());
     }
   }
-  handled_.add();
-  if (timed)
+  if (timed) {
     handle_us_->record(std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now() - started)
                            .count() /
                        1000.0);
+    handled_->add();
+  }
 }
 
 void Node::handle_create(Message& msg) {

@@ -1,8 +1,9 @@
 // Substrate instrumentation end to end: thread pools, work queues,
 // middlewares, nodes and the fault injector export their own counters to
 // the global registry at all times — the registry reads the same atomics
-// the components' stats() report — while latency/size histograms record
-// only while the metrics switch is on.
+// the components' stats() report — while latency/size histograms, and the
+// per-task and per-item counts recorded beside them, record only while the
+// metrics switch is on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -107,7 +108,7 @@ TEST(SubstrateMetrics, SwitchReachesPoolsBuiltBeforeIt) {
 }
 
 TEST(SubstrateMetrics, WorkQueueDepthAndThroughput) {
-  // Counters and levels need no switch.
+  MetricsOn on;
   cc::WorkQueue<int> queue;
   queue.enable_metrics("test.queue");
   const obs::Labels labels{{"queue", "test.queue"}};
@@ -122,7 +123,7 @@ TEST(SubstrateMetrics, WorkQueueDepthAndThroughput) {
 }
 
 TEST(SubstrateMetrics, WorkQueueBatchOpsKeepCountsExact) {
-  // Counters and levels need no switch.
+  MetricsOn on;
   cc::WorkQueue<int> queue;
   queue.enable_metrics("batch.queue");
   const obs::Labels labels{{"queue", "batch.queue"}};
@@ -137,7 +138,20 @@ TEST(SubstrateMetrics, WorkQueueBatchOpsKeepCountsExact) {
   EXPECT_EQ(queue.pop_batch(10).size(), 2u);
   EXPECT_EQ(level("workqueue.depth", labels), 0);
   EXPECT_EQ(counter_value("workqueue.popped", labels), popped0 + 5);
-  EXPECT_EQ(queue.stats().pushed.value(), 5u);
+}
+
+TEST(SubstrateMetrics, WorkQueueDepthNeedsNoSwitch) {
+  // The level is read at scrape time; only the per-item counts need the
+  // switch, since they would put a shared write on every push and pop.
+  obs::set_metrics_enabled(false);
+  cc::WorkQueue<int> queue;
+  queue.enable_metrics("quiet.queue");
+  const obs::Labels labels{{"queue", "quiet.queue"}};
+  const auto pushed0 = counter_value("workqueue.pushed", labels);
+  queue.push(1);
+  queue.push(2);
+  EXPECT_EQ(level("workqueue.depth", labels), 2);
+  EXPECT_EQ(counter_value("workqueue.pushed", labels), pushed0);
 }
 
 TEST(SubstrateMetrics, SchedulerStealAndOverflowSeries) {
