@@ -76,6 +76,23 @@ struct FrameHeader {
   std::uint64_t request_id = 0;
 };
 
+/// Payload bytes a receiver sets aside when a header announces a frame. A
+/// frame up to this size is received into one allocation; a larger one
+/// grows with its bytes, so a header announcing kMaxPayload and then
+/// stalling costs the server this much at most, not 64 MiB.
+inline constexpr std::size_t kPayloadReserve = std::size_t{1} << 20;
+
+/// Size of the next receive into a payload of `total` bytes of which
+/// `received` have arrived: the rest of it, but no more than what has
+/// already arrived (or kPayloadReserve, if more), so the memory a receiver
+/// commits grows no faster than the bytes that fill it.
+[[nodiscard]] constexpr std::size_t payload_chunk(std::size_t received,
+                                                  std::size_t total) {
+  const std::size_t cap = received > kPayloadReserve ? received
+                                                     : kPayloadReserve;
+  return total - received < cap ? total - received : cap;
+}
+
 /// Render a header into its canonical 18 bytes.
 std::array<std::byte, FrameHeader::kSize> encode_header(
     const FrameHeader& header);

@@ -18,12 +18,14 @@ namespace apar::net {
 
 /// A server's wire and request accounting, owned by TcpServer and exported
 /// as net.server.<field>{server}; stats() and a kTelemetry scrape read the
-/// same counters. Byte counts include frame headers. In reactor mode the
-/// event loop counts the wire side, including the reactor-only fields
-/// (rejected: closed at accept, over max_connections; backpressure_pauses:
-/// read-pause transitions; idle_closed; slow_closed: stalled-write
-/// evictions), which stay 0 in thread mode. dispatch_errors counts requests
-/// answered kReplyError.
+/// same counters. Byte counts include frame headers. A reply's frames_out
+/// is counted before any of its bytes can reach the peer, so a client that
+/// reads the stats after its reply sees it counted. In reactor mode the
+/// loop and the pool workers that write replies share the counting, and
+/// the reactor-only fields (rejected: closed at accept, over
+/// max_connections; backpressure_pauses: read-pause transitions;
+/// idle_closed; slow_closed: stalled-write evictions) stay 0 in thread
+/// mode. dispatch_errors counts requests answered kReplyError.
 #define APAR_SERVER_STATS_FIELDS(X)                                        \
   X(accepted) X(rejected) X(frames_in) X(frames_out) X(bytes_in)           \
   X(bytes_out) X(protocol_errors) X(dispatch_errors) X(chaos_dropped)      \
@@ -40,27 +42,49 @@ struct ReplyAction {
   std::vector<std::byte> payload;
 };
 
-/// Single-threaded event loop serving many connections over the frame
-/// protocol: nonblocking accept, per-connection incremental read state
-/// machines, request dispatch into a shared work-stealing ThreadPool, and
-/// ordered write-back with backpressure.
+/// Event loop serving many connections over the frame protocol:
+/// nonblocking accept, staged reads, request dispatch into a shared
+/// work-stealing ThreadPool, and replies written strictly in request order
+/// with backpressure. The loop thread never runs user code.
 ///
-/// Threading model — one rule: ONLY the reactor thread touches connection
-/// state. Pool workers run the handler and push the finished ReplyAction
-/// onto a mutex-protected completion queue; a self-pipe wakes the loop,
-/// which matches completions back to their connection by id and flushes
-/// replies strictly in request arrival order (pipelined clients see
-/// replies in the order they asked, no matter how the pool reordered the
-/// work). Out-of-order completions park until their turn.
+/// Reading. The loop alone reads. It reads a readable socket with one recv
+/// into its staging buffer, dispatches every complete frame in it, and
+/// stops at a short read; level-triggered readiness brings it back for the
+/// rest. A large frame's payload, once its header is known, is received in
+/// place, and payload memory is committed only as its bytes arrive. Each
+/// frame gets an arrival-order sequence number. The loop calls the poller
+/// only when a connection's interest changes.
+///
+/// Writing. Each connection has a write lock shared by the loop and the
+/// pool workers. A worker whose reply is next in order, on a connection
+/// with nothing parked, buffered, paused or draining, writes the reply
+/// itself under that lock with one nonblocking gather write. Every other
+/// reply goes through the completion queue to the loop: out-of-order
+/// replies park until their predecessors are written, chaos drops close
+/// the connection, and a paused or draining connection is the loop's to
+/// decide. When a direct write is partial, the worker leaves the unsent
+/// tail in the connection's outbound buffer and queues a notice, so the
+/// loop finishes it and no later reply overtakes it. The loop's pause,
+/// resume and drain decisions and the workers' direct-write check run
+/// under the same lock. The queue's self-pipe is written only when the
+/// queue goes from empty to non-empty, and the loop reads it once per wake.
+///
+/// Lifetimes. Every dispatched task co-owns its connection and the
+/// completion queue. Closing a connection shuts its socket down, so the
+/// peer sees the close at once, but the descriptor itself closes only
+/// when the last task holding the connection lets go, so its number cannot
+/// be reused under a worker still writing. A task that outlives stop(), or
+/// the Reactor, touches only what it co-owns, plus the handler's captures
+/// and `stats`, which the caller keeps alive until the pool has drained.
 ///
 /// Backpressure: when a connection has `max_inflight` dispatched requests
-/// or `max_outbound_bytes` of un-flushed reply bytes, the reactor stops
-/// reading from it (drops read interest) until the client drains replies —
-/// a slow consumer throttles itself instead of ballooning server memory.
-/// Writes that make no progress for `write_stall_timeout` evict the
-/// connection (slow-reader protection); connections idle longer than
-/// `idle_timeout` are closed; accepts beyond `max_connections` are closed
-/// immediately and counted as rejected.
+/// or `max_outbound_bytes` of un-flushed reply bytes, the loop stops
+/// reading from it; frames already staged when the pause began are
+/// dispatched on resume, before anything read later. Writes that make no
+/// progress for `write_stall_timeout` evict the connection (slow-reader
+/// protection); connections idle longer than `idle_timeout` are closed;
+/// accepts beyond `max_connections` are closed immediately and counted as
+/// rejected.
 ///
 /// The epoll backend (Linux) is level-triggered; `force_poll` selects the
 /// portable poll(2) backend, which behaves identically and is exercised
@@ -85,20 +109,23 @@ class Reactor {
     /// Use the portable poll(2) backend even where epoll is available.
     bool force_poll = false;
     /// Test knob: SO_SNDBUF for accepted sockets (0 = kernel default);
-    /// small values make slow-reader eviction deterministic.
+    /// small values make slow-reader eviction and partial writes
+    /// deterministic.
     int sndbuf_bytes = 0;
   };
 
-  /// Runs on a pool worker with the decoded request; must not block on
-  /// the requesting connection (it owns no socket).
+  /// Runs on a pool worker with the decoded request; the reactor writes
+  /// the reply it returns.
   using Handler =
       std::function<ReplyAction(const FrameHeader&, std::vector<std::byte>)>;
 
   /// The listener must outlive the reactor and stay open until stop()
   /// returns; `pool` executes handlers and is shared with the rest of the
-  /// server; the loop counts into the server's `stats`. `label` names the
-  /// reactor's own series ({"server", label}): the open-connections level
-  /// and the queue-depth histogram.
+  /// server. The loop and the workers count into the server's `stats`,
+  /// which, like whatever `handler` captures, must outlive every task
+  /// posted to `pool`. `label` names the reactor's own series
+  /// ({"server", label}): the open-connections level and the queue-depth
+  /// histogram, which records one sample per reply in both write paths.
   Reactor(Listener& listener, concurrency::ThreadPool& pool, Handler handler,
           Options options, ServerStats& stats, const std::string& label);
   ~Reactor();

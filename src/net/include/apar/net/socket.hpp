@@ -76,6 +76,19 @@ Socket dial(const Endpoint& endpoint, Deadline deadline);
 void send_all(Socket& socket, const std::byte* data, std::size_t size,
               Deadline deadline);
 
+/// Write `head` then `tail` with gather writes, finishing before
+/// `deadline`: a frame header and its payload leave in one sendmsg (one
+/// segment under TCP_NODELAY when they fit).
+void send_all(Socket& socket, const std::byte* head, std::size_t head_size,
+              const std::byte* tail, std::size_t tail_size,
+              Deadline deadline);
+
+/// Wait until `socket` is readable, then read once: up to `size` bytes
+/// into `out`, returning how many arrived (at least one). EOF throws
+/// NetError{kClosed}; the deadline passing first, NetError{kTimeout}.
+std::size_t recv_some(Socket& socket, std::byte* out, std::size_t size,
+                      Deadline deadline);
+
 /// Read exactly `size` bytes into `out`, finishing before `deadline`.
 /// EOF mid-read throws NetError{kClosed}.
 void recv_exact(Socket& socket, std::byte* out, std::size_t size,

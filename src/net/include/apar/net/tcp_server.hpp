@@ -90,13 +90,14 @@ class TcpServer {
   [[nodiscard]] cluster::NameServer& name_server() { return name_server_; }
   [[nodiscard]] Stats stats() const;
   /// Live connection count; only meaningful in reactor mode (0 in thread
-  /// mode, which does not track it).
+  /// mode, which does not track it, and after stop()).
   [[nodiscard]] std::size_t open_connections() const;
 
   /// Stop accepting and shut down. Thread mode closes the listener and
   /// joins the handlers; reactor mode drains gracefully first (in-flight
   /// requests finish and queued replies flush, up to
-  /// Options::reactor.drain_timeout). Idempotent; the destructor calls it.
+  /// Options::reactor.drain_timeout). Every descriptor the server opened is
+  /// closed when it returns. Idempotent; the destructor calls it.
   void stop();
 
  private:

@@ -3,30 +3,43 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #ifdef __linux__
 #include <sys/epoll.h>
 #endif
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cerrno>
+#include <cstring>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "apar/common/log.hpp"
+#include "apar/common/thread_annotations.hpp"
 #include "apar/net/error.hpp"
 #include "apar/obs/metrics.hpp"
 
 namespace apar::net {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// The loop's staging buffer: one recv carries many small frames, and a
+/// large frame copies at most this much out of it before the rest of its
+/// payload is received in place.
+constexpr std::size_t kStageSize = 16 * 1024;
+
+/// Timeouts are checked at most this often, not on every loop turn.
+constexpr auto kSweepInterval = std::chrono::milliseconds(10);
 
 /// One readiness report from a poller backend.
 struct PollEvent {
@@ -155,262 +168,422 @@ void make_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-}  // namespace
+// --- connections --------------------------------------------------------
 
-// --- completion plumbing ----------------------------------------------------
+/// One accepted connection. The read side is the loop's alone; the write
+/// side, under `mu`, is shared with the pool workers answering its
+/// requests. Every dispatched task co-owns the connection, so the socket
+/// (and its descriptor number) lives until the last of them lets go.
+struct ReactorConn : std::enable_shared_from_this<ReactorConn> {
+  ReactorConn(Socket s, Clock::time_point now)
+      : socket(std::move(s)), last_read(now), last_write_progress(now) {}
 
-/// Finished handler results travelling from pool workers back to the
-/// loop. Workers hold the queue through a shared_ptr, so a worker that
-/// outlives the reactor (stop() gave up waiting) still has somewhere
-/// valid to push — the result is simply never read.
-struct ReactorCompletion {
-  std::uint64_t conn_id = 0;
-  std::uint64_t seq = 0;
-  ReplyAction action;
+  Socket socket;
+
+  // --- loop only ----------------------------------------------------------
+  // The frame being assembled: header bytes until the header decodes, then
+  // its payload, committed only as bytes arrive (payload.size() is the
+  // committed part, payload_got the received part).
+  std::array<std::byte, FrameHeader::kSize> header_buf{};
+  std::size_t header_got = 0;
+  bool have_header = false;
+  FrameHeader header;
+  std::vector<std::byte> payload;
+  std::size_t payload_got = 0;
+  /// Received bytes not yet decoded because a pause began part-way
+  /// through a read; decoded on resume, before anything read later.
+  std::vector<std::byte> held;
+  std::uint64_t next_dispatch_seq = 0;
+  bool reading = true;  ///< the loop's copy of !paused && !draining
+  bool polled_read = true;  ///< interest the poller last heard
+  bool polled_write = false;
+  Clock::time_point last_read;
+
+  // --- shared with workers ------------------------------------------------
+  common::Mutex mu;
+  std::uint64_t next_flush_seq APAR_GUARDED_BY(mu) = 0;
+  /// Dispatched requests whose reply is neither written nor seen by the
+  /// loop yet.
+  std::size_t inflight APAR_GUARDED_BY(mu) = 0;
+  /// Replies that reached the loop before their predecessors were written.
+  std::map<std::uint64_t, ReplyAction> parked APAR_GUARDED_BY(mu);
+  std::vector<std::byte> outbuf APAR_GUARDED_BY(mu);
+  std::size_t out_off APAR_GUARDED_BY(mu) = 0;
+  bool paused APAR_GUARDED_BY(mu) = false;
+  bool draining APAR_GUARDED_BY(mu) = false;
+  bool closed APAR_GUARDED_BY(mu) = false;
+  Clock::time_point last_write_progress APAR_GUARDED_BY(mu);
+
+  [[nodiscard]] std::size_t pending_out() const APAR_REQUIRES(mu) {
+    return outbuf.size() - out_off;
+  }
+  [[nodiscard]] bool work_pending() const APAR_REQUIRES(mu) {
+    return inflight > 0 || !parked.empty() || pending_out() > 0;
+  }
+  /// A worker may write the reply for `seq` itself: it is next in order
+  /// and the loop has nothing queued or to decide on this connection.
+  [[nodiscard]] bool writable_by_worker(std::uint64_t seq) const
+      APAR_REQUIRES(mu) {
+    return seq == next_flush_seq && parked.empty() && pending_out() == 0 &&
+           !paused && !draining;
+  }
+  /// Queue bytes behind whatever is unsent; a stall is timed from the
+  /// moment bytes start waiting.
+  void append_out(const std::byte* data, std::size_t size) APAR_REQUIRES(mu) {
+    if (pending_out() == 0) last_write_progress = Clock::now();
+    outbuf.insert(outbuf.end(), data, data + size);
+  }
+
+  /// A worker writes a reply that writable_by_worker() allowed, with one
+  /// nonblocking gather write. Returns false when bytes are left in the
+  /// outbound buffer for the loop: a full socket buffer, or an error the
+  /// loop's own write meets again and closes on.
+  bool write_reply(ReplyAction& action, ServerStats& stats,
+                   obs::Histogram& queue_depth) APAR_REQUIRES(mu) {
+    ++next_flush_seq;
+    --inflight;
+    action.header.payload_len =
+        static_cast<std::uint32_t>(action.payload.size());
+    auto head = encode_header(action.header);
+    const std::size_t total = head.size() + action.payload.size();
+    // Counted before any byte can reach the peer, so a client that reads
+    // the server's stats after its reply sees the reply counted.
+    stats.frames_out.add();
+    if (obs::metrics_enabled())
+      queue_depth.record(static_cast<double>(total));
+
+    iovec iov[2] = {{head.data(), head.size()},
+                    {action.payload.data(), action.payload.size()}};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = action.payload.empty() ? 1 : 2;
+    ssize_t n = 0;
+    do {
+      n = ::sendmsg(socket.fd(), &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    } while (n < 0 && errno == EINTR);
+    const std::size_t sent = n > 0 ? static_cast<std::size_t>(n) : 0;
+    if (sent > 0) {
+      stats.bytes_out.add(sent);
+      last_write_progress = Clock::now();
+    }
+    if (sent == total) return true;
+
+    if (sent < head.size()) {
+      append_out(head.data() + sent, head.size() - sent);
+      append_out(action.payload.data(), action.payload.size());
+    } else {
+      const std::size_t skip = sent - head.size();
+      append_out(action.payload.data() + skip, action.payload.size() - skip);
+    }
+    return false;
+  }
 };
 
-struct ReactorCompletionQueue {
-  std::mutex mutex;
-  std::vector<ReactorCompletion> items;
-  int wake_fd = -1;  ///< write end of the self-pipe; owned
+// --- completion plumbing ------------------------------------------------
 
-  ~ReactorCompletionQueue() {
-    if (wake_fd >= 0) ::close(wake_fd);
+/// A reply a worker could not write itself, travelling back to the loop.
+struct ReactorCompletion {
+  std::shared_ptr<ReactorConn> conn;
+  std::uint64_t seq = 0;
+  /// Empty when a worker's direct write left an unsent tail in the
+  /// outbound buffer: the loop only has to finish writing it.
+  std::optional<ReplyAction> action;
+};
+
+/// Replies handed from pool workers to the loop. The self-pipe is written
+/// only when the queue goes from empty to non-empty, and the loop reads it
+/// once per wake before taking the whole queue, so no wake-up is lost.
+/// The queue owns both pipe ends.
+class ReactorCompletionQueue {
+ public:
+  ReactorCompletionQueue() {
+    int fds[2];
+    if (::pipe(fds) < 0)
+      throw NetError(NetError::Kind::kIo, "reactor self-pipe failed");
+    make_nonblocking(fds[0]);
+    make_nonblocking(fds[1]);
+    read_fd_ = fds[0];
+    write_fd_ = fds[1];
   }
+  ~ReactorCompletionQueue() {
+    ::close(read_fd_);
+    ::close(write_fd_);
+  }
+  ReactorCompletionQueue(const ReactorCompletionQueue&) = delete;
+  ReactorCompletionQueue& operator=(const ReactorCompletionQueue&) = delete;
+
+  [[nodiscard]] int wake_fd() const { return read_fd_; }
 
   void push(ReactorCompletion c) {
+    bool was_empty = false;
     {
-      std::lock_guard lock(mutex);
-      items.push_back(std::move(c));
+      common::MutexLock lock(mu_);
+      was_empty = items_.empty();
+      items_.push_back(std::move(c));
     }
-    // A full pipe is fine: a wakeup byte is already pending.
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
+    if (was_empty) wake();
   }
+
+  /// Swap the queued completions into `out` (cleared first).
+  void take(std::vector<ReactorCompletion>& out) {
+    out.clear();
+    common::MutexLock lock(mu_);
+    out.swap(items_);
+  }
+
+  void wake() {
+    // A full pipe is fine: a wake-up byte is already pending.
+    const char byte = 1;
+    [[maybe_unused]] const ssize_t n = ::write(write_fd_, &byte, 1);
+  }
+  void clear_wake() {
+    char buf[64];
+    [[maybe_unused]] const ssize_t n = ::read(read_fd_, buf, sizeof(buf));
+  }
+
+ private:
+  common::Mutex mu_;
+  std::vector<ReactorCompletion> items_ APAR_GUARDED_BY(mu_);
+  int read_fd_ = -1;
+  int write_fd_ = -1;
 };
+
+/// What the loop and every dispatched task co-own, so a task that
+/// outlives Reactor::stop() (or the Reactor) touches nothing freed.
+struct ReactorShared {
+  ReactorShared(Reactor::Handler h, ServerStats& s,
+                std::shared_ptr<obs::Histogram> depth)
+      : handler(std::move(h)), stats(s), queue_depth(std::move(depth)) {}
+
+  Reactor::Handler handler;
+  ServerStats& stats;  ///< the caller's; it drains the pool before it dies
+  std::shared_ptr<obs::Histogram> queue_depth;  ///< records while metrics on
+  ReactorCompletionQueue completions;
+};
+
+/// The pool-worker half of a request: run the handler, then write the
+/// reply when this worker may, or hand it to the loop.
+void serve_request(ReactorShared& shared, std::shared_ptr<ReactorConn> conn,
+                   std::uint64_t seq, const FrameHeader& header,
+                   std::vector<std::byte> payload) {
+  std::optional<ReplyAction> action;
+  try {
+    action = shared.handler(header, std::move(payload));
+  } catch (...) {
+    // The handler answers application errors itself; anything that
+    // escapes means the request cannot be answered reliably.
+    action.emplace().drop = true;
+  }
+  {
+    ReactorConn& c = *conn;
+    common::MutexLock lock(c.mu);
+    if (c.closed) return;  // nobody left to answer
+    if (!action->drop && c.writable_by_worker(seq)) {
+      if (c.write_reply(*action, shared.stats, *shared.queue_depth)) return;
+      action.reset();  // written in part: the loop sends the rest
+    }
+  }
+  shared.completions.push({std::move(conn), seq, std::move(action)});
+}
+
+}  // namespace
 
 // --- Reactor::Impl ----------------------------------------------------------
 
 struct Reactor::Impl {
-  Impl(Listener& l, concurrency::ThreadPool& p, Handler h, Options o,
-       ServerStats& s)
-      : listener(l), pool(p), handler(std::move(h)), options(o), stats(s) {}
-
-  struct Conn {
-    std::uint64_t id = 0;
-    Socket socket;
-
-    // Read state machine: header bytes, then payload bytes, repeat.
-    std::array<std::byte, FrameHeader::kSize> header_buf;
-    std::size_t header_got = 0;
-    bool have_header = false;
-    FrameHeader header;
-    std::vector<std::byte> payload;
-    std::size_t payload_got = 0;
-
-    // Dispatch/write side. Requests get arrival-order sequence numbers;
-    // replies flush strictly in that order, out-of-order completions
-    // park until their predecessors finish.
-    std::uint64_t next_dispatch_seq = 0;
-    std::uint64_t next_flush_seq = 0;
-    std::size_t inflight = 0;  ///< dispatched, completion not yet seen
-    std::map<std::uint64_t, ReplyAction> parked;
-    std::vector<std::byte> outbuf;
-    std::size_t out_off = 0;
-
-    bool paused = false;  ///< read interest dropped (backpressure)
-    std::chrono::steady_clock::time_point last_activity;
-    std::chrono::steady_clock::time_point last_write_progress;
-
-    [[nodiscard]] std::size_t pending_out() const {
-      return outbuf.size() - out_off;
-    }
-    [[nodiscard]] bool work_pending() const {
-      return inflight > 0 || !parked.empty() || pending_out() > 0;
-    }
-  };
+  Impl(Listener& l, concurrency::ThreadPool& p, Options o)
+      : listener(l), pool(p), options(o) {}
 
   Listener& listener;
   concurrency::ThreadPool& pool;
-  Handler handler;
   Options options;
 
+  std::shared_ptr<ReactorShared> shared;
   std::unique_ptr<Poller> poller;
-  std::shared_ptr<ReactorCompletionQueue> completions;
-  int wake_read_fd = -1;
+  int listener_fd = -1;
 
-  std::map<std::uint64_t, std::unique_ptr<Conn>> conns;
-  std::unordered_map<int, std::uint64_t> by_fd;
-  std::uint64_t next_conn_id = 1;
+  std::unordered_map<int, std::shared_ptr<ReactorConn>> conns;  ///< by fd
+  std::vector<std::byte> stage = std::vector<std::byte>(kStageSize);
+  std::vector<ReactorCompletion> completed;  ///< reused by apply_completions
+  Clock::time_point next_sweep;
 
   std::atomic<bool> draining{false};
   std::atomic<std::size_t> open_count{0};
-
-  ServerStats& stats;
-  std::shared_ptr<obs::Histogram> queue_depth;  ///< records while metrics on
   obs::Export open_export;
 
   std::thread loop;
+
+  [[nodiscard]] ServerStats& stats() const { return shared->stats; }
 
   // --- loop body ---------------------------------------------------------
 
   void run() {
     std::vector<PollEvent> events;
-    std::optional<std::chrono::steady_clock::time_point> drain_deadline;
+    std::optional<Clock::time_point> drain_deadline;
     for (;;) {
       const bool drain = draining.load(std::memory_order_acquire);
       if (drain && !drain_deadline) {
-        drain_deadline = std::chrono::steady_clock::now() +
-                         options.drain_timeout;
+        drain_deadline = Clock::now() + options.drain_timeout;
         begin_drain();
       }
       if (drain && conns.empty()) break;
-      if (drain_deadline &&
-          std::chrono::steady_clock::now() >= *drain_deadline) {
+      if (drain_deadline && Clock::now() >= *drain_deadline) {
         close_all();
         break;
       }
 
       poller->wait(events, drain ? 10 : 50);
+      bool woken = false;
       for (const PollEvent& ev : events) {
-        if (ev.fd == wake_read_fd) {
-          drain_wake_pipe();
+        if (ev.fd == shared->completions.wake_fd()) {
+          shared->completions.clear_wake();
+          woken = true;
           continue;
         }
-        if (!drain && is_listener_fd(ev.fd)) {
+        if (!drain && ev.fd == listener_fd) {
           do_accept();
           continue;
         }
-        auto it = by_fd.find(ev.fd);
-        if (it == by_fd.end()) continue;
-        Conn* conn = conns.at(it->second).get();
+        auto it = conns.find(ev.fd);
+        if (it == conns.end()) continue;
+        const std::shared_ptr<ReactorConn> conn = it->second;
         if (ev.error) {
           close_conn(*conn);
           continue;
         }
-        if (ev.writable) {
-          if (!try_write(*conn)) continue;  // closed on write error
-          // Draining the outbound buffer may clear an outbound-bytes
-          // pause; without this a quiet client would stay paused forever.
-          maybe_resume(*conn);
-        }
+        if (ev.writable && !settle(*conn)) continue;
         if (ev.readable) on_readable(*conn);
       }
-      apply_completions();
+      if (woken) apply_completions();
       sweep_timers();
     }
   }
-
-  // The listener fd is not stored in by_fd; compare against its actual
-  // descriptor, cached at start().
-  int listener_fd = -1;
-  [[nodiscard]] bool is_listener_fd(int fd) const { return fd == listener_fd; }
 
   void do_accept() {
     for (;;) {
       Socket client = listener.accept(std::chrono::milliseconds(0));
       if (!client.valid()) return;
       if (conns.size() >= options.max_connections) {
-        stats.rejected.add();
+        stats().rejected.add();
         continue;  // client socket closes on scope exit
       }
       if (options.sndbuf_bytes > 0) {
         const int v = options.sndbuf_bytes;
         ::setsockopt(client.fd(), SOL_SOCKET, SO_SNDBUF, &v, sizeof(v));
       }
-      stats.accepted.add();
-
-      auto conn = std::make_unique<Conn>();
-      conn->id = next_conn_id++;
-      conn->last_activity = std::chrono::steady_clock::now();
-      conn->last_write_progress = conn->last_activity;
+      stats().accepted.add();
       const int fd = client.fd();
-      conn->socket = std::move(client);
       poller->add(fd, /*read=*/true, /*write=*/false);
-      by_fd[fd] = conn->id;
-      conns[conn->id] = std::move(conn);
+      conns[fd] = std::make_shared<ReactorConn>(std::move(client), Clock::now());
       open_count.store(conns.size(), std::memory_order_relaxed);
     }
   }
 
-  void on_readable(Conn& conn) {
-    while (!conn.paused) {
-      std::byte* dst;
-      std::size_t want;
-      if (!conn.have_header) {
-        dst = conn.header_buf.data() + conn.header_got;
-        want = FrameHeader::kSize - conn.header_got;
-      } else {
+  /// One recv per pass, into the staging buffer, or straight into a large
+  /// frame's payload once its header is known; stops at a short read.
+  void on_readable(ReactorConn& conn) {
+    while (conn.reading) {
+      const bool in_place =
+          conn.have_header && conn.header.payload_len > kStageSize;
+      std::byte* dst = stage.data();
+      std::size_t want = stage.size();
+      if (in_place) {
+        if (conn.payload_got == conn.payload.size())
+          conn.payload.resize(conn.payload_got +
+                              payload_chunk(conn.payload_got,
+                                            conn.header.payload_len));
         dst = conn.payload.data() + conn.payload_got;
         want = conn.payload.size() - conn.payload_got;
       }
+      const ssize_t n = ::recv(conn.socket.fd(), dst, want, 0);
+      if (n == 0) {  // EOF: normal close (mid-frame or not)
+        close_conn(conn);
+        return;
+      }
+      if (n < 0) {
+        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+        if (errno == EINTR) continue;
+        close_conn(conn);
+        return;
+      }
+      conn.last_read = Clock::now();
+      const auto got = static_cast<std::size_t>(n);
+      if (in_place) {
+        conn.payload_got += got;
+        if (!feed(conn, nullptr, 0)) return;
+      } else if (!feed(conn, stage.data(), got)) {
+        return;
+      }
+      if (got < want) return;  // short read: nothing more for now
+    }
+  }
 
-      if (want > 0) {
-        const ssize_t n = ::recv(conn.socket.fd(), dst, want, 0);
-        if (n == 0) {  // EOF: normal close (mid-frame or not)
-          close_conn(conn);
-          return;
+  /// Decode received bytes into frames and dispatch every complete one.
+  /// When a pause begins part-way, the rest is held for the resume.
+  /// Returns false when the connection closed.
+  bool feed(ReactorConn& conn, const std::byte* data, std::size_t size) {
+    for (;;) {
+      if (conn.have_header && conn.payload_got == conn.header.payload_len) {
+        if (!dispatch(conn)) return false;
+        if (!conn.reading) {
+          conn.held.assign(data, data + size);
+          return true;
         }
-        if (n < 0) {
-          if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-          if (errno == EINTR) continue;
-          close_conn(conn);
-          return;
-        }
-        conn.last_activity = std::chrono::steady_clock::now();
-        if (!conn.have_header) {
-          conn.header_got += static_cast<std::size_t>(n);
-          if (conn.header_got < FrameHeader::kSize) continue;
+      }
+      if (size == 0) return true;
+      std::size_t take = 0;
+      if (!conn.have_header) {
+        take = std::min(size, FrameHeader::kSize - conn.header_got);
+        std::memcpy(conn.header_buf.data() + conn.header_got, data, take);
+        conn.header_got += take;
+        if (conn.header_got == FrameHeader::kSize) {
           try {
             conn.header = decode_header(conn.header_buf.data(),
                                         conn.header_buf.size());
           } catch (const NetError&) {
-            stats.protocol_errors.add();
+            stats().protocol_errors.add();
             close_conn(conn);
-            return;
+            return false;
           }
           conn.have_header = true;
-          conn.payload.assign(conn.header.payload_len, std::byte{0});
-          conn.payload_got = 0;
-          if (conn.header.payload_len > 0) continue;
-        } else {
-          conn.payload_got += static_cast<std::size_t>(n);
-          if (conn.payload_got < conn.payload.size()) continue;
+          conn.payload.reserve(
+              std::min<std::size_t>(conn.header.payload_len, kPayloadReserve));
         }
+      } else {
+        take = std::min(size, conn.header.payload_len - conn.payload_got);
+        if (conn.payload.size() < conn.payload_got + take)
+          conn.payload.resize(conn.payload_got + take);
+        std::memcpy(conn.payload.data() + conn.payload_got, data, take);
+        conn.payload_got += take;
       }
-
-      // One complete frame: hand it to the pool and reset the machine.
-      stats.frames_in.add();
-      stats.bytes_in.add(FrameHeader::kSize + conn.payload.size());
-      if (!dispatch(conn, conn.header, std::move(conn.payload)))
-        return;  // pool unavailable: connection closed
-      conn.have_header = false;
-      conn.header_got = 0;
-      conn.payload.clear();
-      conn.payload_got = 0;
-      maybe_pause(conn);
+      data += take;
+      size -= take;
     }
   }
 
-  /// Returns false when the connection had to close (pool unavailable).
-  bool dispatch(Conn& conn, FrameHeader header,
-                std::vector<std::byte> payload) {
+  /// Hand the assembled frame to the pool. Counting it in flight and the
+  /// pause decision share one critical section, taken before the task can
+  /// run. Returns false when the connection closed (pool unavailable).
+  bool dispatch(ReactorConn& conn) {
+    stats().frames_in.add();
+    stats().bytes_in.add(FrameHeader::kSize + conn.payload_got);
+    std::vector<std::byte> payload = std::move(conn.payload);
+    conn.payload.clear();
+    conn.payload_got = 0;
+    conn.have_header = false;
+    conn.header_got = 0;
     const std::uint64_t seq = conn.next_dispatch_seq++;
-    ++conn.inflight;
+    {
+      common::MutexLock lock(conn.mu);
+      ++conn.inflight;
+      update_pause(conn);
+      conn.reading = !conn.paused && !conn.draining;
+    }
+    if (!conn.reading) set_interest(conn, conn.polled_write);
     try {
-      pool.post([queue = completions, h = handler, cid = conn.id, seq,
-                 header, pl = std::move(payload)]() mutable {
-        ReactorCompletion done;
-        done.conn_id = cid;
-        done.seq = seq;
-        try {
-          done.action = h(header, std::move(pl));
-        } catch (...) {
-          // The handler answers application errors itself; anything that
-          // escapes means the request cannot be answered reliably.
-          done.action.drop = true;
-        }
-        queue->push(std::move(done));
+      pool.post([shared = shared, c = conn.shared_from_this(), seq,
+                 header = conn.header, pl = std::move(payload)]() mutable {
+        serve_request(*shared, std::move(c), seq, header, std::move(pl));
       });
     } catch (...) {
       // Pool shutting down: the request dies with the connection.
@@ -420,80 +593,93 @@ struct Reactor::Impl {
     return true;
   }
 
-  void drain_wake_pipe() {
-    char buf[256];
-    while (::read(wake_read_fd, buf, sizeof(buf)) > 0) {
-    }
-  }
-
   void apply_completions() {
-    std::vector<ReactorCompletion> items;
-    {
-      std::lock_guard lock(completions->mutex);
-      items.swap(completions->items);
+    shared->completions.take(completed);
+    for (ReactorCompletion& c : completed) {
+      ReactorConn& conn = *c.conn;
+      {
+        common::MutexLock lock(conn.mu);
+        if (conn.closed) continue;
+        if (c.action) {
+          --conn.inflight;
+          conn.parked.emplace(c.seq, std::move(*c.action));
+        }
+      }
+      settle(conn);
     }
-    for (ReactorCompletion& c : items) {
-      auto it = conns.find(c.conn_id);
-      if (it == conns.end()) continue;  // connection already gone
-      Conn& conn = *it->second;
-      --conn.inflight;
-      conn.parked.emplace(c.seq, std::move(c.action));
-      if (!flush_ready(conn)) continue;  // closed (chaos drop / write error)
-      // Flushing may have grown the outbound buffer past the cap (pause
-      // reads even if the client has stopped sending for now) or shrunk
-      // the in-flight set below it (resume).
-      maybe_pause(conn);
-      maybe_resume(conn);
-      if (draining.load(std::memory_order_relaxed) && !conn.work_pending())
-        close_conn(conn);
-    }
+    completed.clear();  // drop the connection references
   }
 
-  /// Move in-order parked replies into the outbound buffer and push
-  /// bytes. Returns false when the connection was closed.
-  bool flush_ready(Conn& conn) {
+  /// Move ready replies out, write what the socket takes, and re-decide
+  /// pause, resume and drain, all in the critical section a worker's
+  /// direct-write check takes. On resume, held frames are dispatched
+  /// before anything newer is read. Returns false when the connection
+  /// closed.
+  bool settle(ReactorConn& conn) {
+    bool keep = false;
+    bool can_read = false;
+    bool want_write = false;
+    {
+      common::MutexLock lock(conn.mu);
+      keep = flush_parked(conn) && write_out(conn);
+      if (keep) {
+        update_pause(conn);
+        keep = !(conn.draining && !conn.work_pending());
+        can_read = !conn.paused && !conn.draining;
+        want_write = conn.pending_out() > 0;
+      }
+    }
+    if (!keep) {
+      close_conn(conn);
+      return false;
+    }
+    if (can_read && !conn.reading) {  // resumed
+      conn.reading = true;
+      const std::vector<std::byte> held = std::move(conn.held);
+      conn.held.clear();
+      if (!feed(conn, held.data(), held.size())) return false;
+    }
+    set_interest(conn, want_write);
+    return true;
+  }
+
+  /// Move in-order parked replies into the outbound buffer. Returns false
+  /// on a chaos drop: the connection closes without answering, and later
+  /// pipelined requests die with it, as in thread-per-connection mode.
+  bool flush_parked(ReactorConn& conn) APAR_REQUIRES(conn.mu) {
     while (!conn.parked.empty() &&
            conn.parked.begin()->first == conn.next_flush_seq) {
-      ReplyAction action = std::move(conn.parked.begin()->second);
-      conn.parked.erase(conn.parked.begin());
+      auto node = conn.parked.extract(conn.parked.begin());
       ++conn.next_flush_seq;
-      if (action.drop) {
-        // Chaos "lost reply": close without answering — later pipelined
-        // requests on this connection die with it, exactly like the
-        // thread-per-connection mode.
-        close_conn(conn);
-        return false;
-      }
+      ReplyAction& action = node.mapped();
+      if (action.drop) return false;
       action.header.payload_len =
           static_cast<std::uint32_t>(action.payload.size());
-      const auto bytes = encode_header(action.header);
-      conn.outbuf.insert(conn.outbuf.end(), bytes.begin(), bytes.end());
-      conn.outbuf.insert(conn.outbuf.end(), action.payload.begin(),
-                         action.payload.end());
-      stats.frames_out.add();
+      const auto head = encode_header(action.header);
+      stats().frames_out.add();  // before its bytes can reach the peer
+      conn.append_out(head.data(), head.size());
+      conn.append_out(action.payload.data(), action.payload.size());
       if (obs::metrics_enabled())
-        queue_depth->record(static_cast<double>(conn.pending_out()));
+        shared->queue_depth->record(static_cast<double>(conn.pending_out()));
     }
-    return try_write(conn);
+    return true;
   }
 
-  /// Push pending outbound bytes until EAGAIN or empty. Returns false
-  /// when the connection was closed on a write error.
-  bool try_write(Conn& conn) {
+  /// Push pending outbound bytes until EAGAIN or empty. Returns false on a
+  /// write error.
+  bool write_out(ReactorConn& conn) APAR_REQUIRES(conn.mu) {
     while (conn.out_off < conn.outbuf.size()) {
       const ssize_t n =
           ::send(conn.socket.fd(), conn.outbuf.data() + conn.out_off,
                  conn.outbuf.size() - conn.out_off, MSG_NOSIGNAL);
       if (n > 0) {
         conn.out_off += static_cast<std::size_t>(n);
-        stats.bytes_out.add(static_cast<std::uint64_t>(n));
-        conn.last_write_progress = std::chrono::steady_clock::now();
-        conn.last_activity = conn.last_write_progress;
+        stats().bytes_out.add(static_cast<std::uint64_t>(n));
+        conn.last_write_progress = Clock::now();
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (n < 0 && errno == EINTR) continue;
-      close_conn(conn);
       return false;
     }
     if (conn.out_off == conn.outbuf.size()) {
@@ -505,75 +691,88 @@ struct Reactor::Impl {
                             static_cast<std::ptrdiff_t>(conn.out_off));
       conn.out_off = 0;
     }
-    update_interest(conn);
     return true;
   }
 
-  void maybe_pause(Conn& conn) {
-    if (conn.paused) return;
-    if (conn.inflight + conn.parked.size() >= options.max_inflight ||
-        conn.pending_out() >= options.max_outbound_bytes) {
-      conn.paused = true;
-      stats.backpressure_pauses.add();
-      update_interest(conn);
-    }
+  /// Pause reads at either cap, resume below both.
+  void update_pause(ReactorConn& conn) APAR_REQUIRES(conn.mu) {
+    const bool over =
+        conn.inflight + conn.parked.size() >= options.max_inflight ||
+        conn.pending_out() >= options.max_outbound_bytes;
+    if (over && !conn.paused) stats().backpressure_pauses.add();
+    conn.paused = over;
   }
 
-  void maybe_resume(Conn& conn) {
-    if (!conn.paused) return;
-    if (conn.inflight + conn.parked.size() < options.max_inflight &&
-        conn.pending_out() < options.max_outbound_bytes) {
-      conn.paused = false;
-      update_interest(conn);
-    }
-  }
-
-  void update_interest(Conn& conn) {
-    const bool read =
-        !conn.paused && !draining.load(std::memory_order_relaxed);
-    poller->update(conn.socket.fd(), read, conn.pending_out() > 0);
+  /// Tell the poller only when the connection's interest changed.
+  void set_interest(ReactorConn& conn, bool write) {
+    if (conn.reading == conn.polled_read && write == conn.polled_write) return;
+    poller->update(conn.socket.fd(), conn.reading, write);
+    conn.polled_read = conn.reading;
+    conn.polled_write = write;
   }
 
   void sweep_timers() {
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
+    if (now < next_sweep) return;
+    next_sweep = now + kSweepInterval;
     // close_conn mutates conns; collect victims first.
-    std::vector<Conn*> idle_victims;
-    std::vector<Conn*> stall_victims;
-    for (auto& [id, conn] : conns) {
-      if (conn->pending_out() > 0 &&
-          now - conn->last_write_progress > options.write_stall_timeout)
-        stall_victims.push_back(conn.get());
-      else if (options.idle_timeout.count() > 0 && !conn->work_pending() &&
-               now - conn->last_activity > options.idle_timeout)
-        idle_victims.push_back(conn.get());
+    std::vector<ReactorConn*> idle_victims;
+    std::vector<ReactorConn*> stall_victims;
+    for (auto& [fd, owned] : conns) {
+      ReactorConn& conn = *owned;
+      common::MutexLock lock(conn.mu);
+      if (conn.pending_out() > 0 &&
+          now - conn.last_write_progress > options.write_stall_timeout)
+        stall_victims.push_back(&conn);
+      else if (options.idle_timeout.count() > 0 && !conn.work_pending() &&
+               now - std::max(conn.last_read, conn.last_write_progress) >
+                   options.idle_timeout)
+        idle_victims.push_back(&conn);
     }
-    for (Conn* conn : stall_victims) {
-      stats.slow_closed.add();
+    for (ReactorConn* conn : stall_victims) {
+      stats().slow_closed.add();
       APAR_DEBUG("net") << "reactor: evicting slow reader fd="
                         << conn->socket.fd();
       close_conn(*conn);
     }
-    for (Conn* conn : idle_victims) {
-      stats.idle_closed.add();
+    for (ReactorConn* conn : idle_victims) {
+      stats().idle_closed.add();
       close_conn(*conn);
     }
   }
 
-  void close_conn(Conn& conn) {
-    poller->remove(conn.socket.fd());
-    by_fd.erase(conn.socket.fd());
-    conns.erase(conn.id);  // destroys conn — no touching it after this
+  /// Forget the connection and shut its socket down, so the peer sees the
+  /// close at once. The descriptor itself closes with the last owner: a
+  /// worker still holding the connection keeps its number from being
+  /// reused under it. May destroy `conn`.
+  void close_conn(ReactorConn& conn) {
+    const int fd = conn.socket.fd();
+    poller->remove(fd);
+    {
+      common::MutexLock lock(conn.mu);
+      conn.closed = true;
+    }
+    ::shutdown(fd, SHUT_RDWR);
+    conns.erase(fd);
     open_count.store(conns.size(), std::memory_order_relaxed);
   }
 
   void begin_drain() {
     poller->remove(listener_fd);
-    std::vector<Conn*> done;
-    for (auto& [id, conn] : conns) {
-      update_interest(*conn);  // read interest off for everyone
-      if (!conn->work_pending()) done.push_back(conn.get());
+    std::vector<ReactorConn*> done;
+    for (auto& [fd, owned] : conns) {
+      ReactorConn& conn = *owned;
+      bool idle = false;
+      {
+        common::MutexLock lock(conn.mu);
+        conn.draining = true;
+        idle = !conn.work_pending();
+      }
+      conn.reading = false;
+      set_interest(conn, conn.polled_write);
+      if (idle) done.push_back(&conn);
     }
-    for (Conn* conn : done) close_conn(*conn);
+    for (ReactorConn* conn : done) close_conn(*conn);
   }
 
   void close_all() {
@@ -586,21 +785,13 @@ struct Reactor::Impl {
 Reactor::Reactor(Listener& listener, concurrency::ThreadPool& pool,
                  Handler handler, Options options, ServerStats& stats,
                  const std::string& label)
-    : impl_(std::make_unique<Impl>(listener, pool, std::move(handler),
-                                   options, stats)) {
-  int fds[2];
-  if (::pipe(fds) < 0)
-    throw NetError(NetError::Kind::kIo, "reactor self-pipe failed");
-  make_nonblocking(fds[0]);
-  make_nonblocking(fds[1]);
-  impl_->completions = std::make_shared<ReactorCompletionQueue>();
-  impl_->completions->wake_fd = fds[1];
-  impl_->wake_read_fd = fds[0];
-
+    : impl_(std::make_unique<Impl>(listener, pool, options)) {
   auto& reg = obs::MetricsRegistry::global();
   const obs::Labels labels{{"server", label}};
-  impl_->queue_depth = reg.histogram("net.server.queue_depth", labels,
-                                     obs::Histogram::bytes_bounds());
+  impl_->shared = std::make_shared<ReactorShared>(
+      std::move(handler), stats,
+      reg.histogram("net.server.queue_depth", labels,
+                    obs::Histogram::bytes_bounds()));
   impl_->open_export =
       reg.export_gauge("net.server.open_connections", labels,
                        [impl = impl_.get()] {
@@ -611,14 +802,12 @@ Reactor::Reactor(Listener& listener, concurrency::ThreadPool& pool,
   impl_->poller = make_poller(options.force_poll);
   impl_->listener_fd = listener.fd();
   impl_->poller->add(impl_->listener_fd, /*read=*/true, /*write=*/false);
-  impl_->poller->add(impl_->wake_read_fd, /*read=*/true, /*write=*/false);
+  impl_->poller->add(impl_->shared->completions.wake_fd(), /*read=*/true,
+                     /*write=*/false);
   impl_->loop = std::thread([this] { impl_->run(); });
 }
 
-Reactor::~Reactor() {
-  stop();
-  if (impl_->wake_read_fd >= 0) ::close(impl_->wake_read_fd);
-}
+Reactor::~Reactor() { stop(); }
 
 void Reactor::stop() {
   if (impl_->draining.exchange(true, std::memory_order_acq_rel)) {
@@ -626,9 +815,7 @@ void Reactor::stop() {
     return;
   }
   // Wake the loop so it notices the drain promptly.
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n =
-      ::write(impl_->completions->wake_fd, &byte, 1);
+  impl_->shared->completions.wake();
   if (impl_->loop.joinable()) impl_->loop.join();
 }
 

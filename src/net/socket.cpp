@@ -7,6 +7,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -135,10 +136,27 @@ Socket dial(const Endpoint& endpoint, Deadline deadline) {
 
 void send_all(Socket& socket, const std::byte* data, std::size_t size,
               Deadline deadline) {
+  send_all(socket, data, size, nullptr, 0, deadline);
+}
+
+void send_all(Socket& socket, const std::byte* head, std::size_t head_size,
+              const std::byte* tail, std::size_t tail_size,
+              Deadline deadline) {
   std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(socket.fd(), data + sent, size - sent,
-                             MSG_NOSIGNAL);
+  const std::size_t total = head_size + tail_size;
+  while (sent < total) {
+    iovec iov[2];
+    int count = 0;
+    if (sent < head_size)
+      iov[count++] = {const_cast<std::byte*>(head) + sent, head_size - sent};
+    const std::size_t tail_sent = sent > head_size ? sent - head_size : 0;
+    if (tail_size > tail_sent)
+      iov[count++] = {const_cast<std::byte*>(tail) + tail_sent,
+                      tail_size - tail_sent};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(count);
+    const ssize_t n = ::sendmsg(socket.fd(), &msg, MSG_NOSIGNAL);
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
       continue;
@@ -152,6 +170,22 @@ void send_all(Socket& socket, const std::byte* data, std::size_t size,
       throw NetError(NetError::Kind::kClosed,
                      "peer closed connection while sending");
     throw_errno(NetError::Kind::kIo, "send");
+  }
+}
+
+std::size_t recv_some(Socket& socket, std::byte* out, std::size_t size,
+                      Deadline deadline) {
+  for (;;) {
+    wait_ready(socket.fd(), POLLIN, deadline, "receiving");
+    const ssize_t n = ::recv(socket.fd(), out, size, 0);
+    if (n > 0) return static_cast<std::size_t>(n);
+    if (n == 0)
+      throw NetError(NetError::Kind::kClosed, "peer closed connection");
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
+    if (errno == ECONNRESET)
+      throw NetError(NetError::Kind::kClosed,
+                     "connection reset while receiving");
+    throw_errno(NetError::Kind::kIo, "recv");
   }
 }
 

@@ -12,6 +12,14 @@
 
 namespace apar::net {
 
+namespace {
+
+/// Stack buffer a reply is first read into: small replies arrive whole,
+/// larger ones continue straight into their payload.
+constexpr std::size_t kReplyReadSize = 4096;
+
+}  // namespace
+
 TcpMiddleware::TcpMiddleware(Options options)
     : options_(std::move(options)), name_(options_.name), pool_(name_) {
   if (options_.endpoints.empty())
@@ -121,27 +129,38 @@ TcpMiddleware::Exchange TcpMiddleware::exchange(
   std::vector<std::byte> reply_payload;
   try {
     const Deadline deadline = deadline_after(options_.io_deadline);
-    send_all(socket, header_bytes.data(), header_bytes.size(), deadline);
-    if (!payload.empty())
-      send_all(socket, payload.data(), payload.size(), deadline);
+    send_all(socket, header_bytes.data(), header_bytes.size(),
+             payload.data(), payload.size(), deadline);
     per.net.frames_sent.add();
     per.net.wire_bytes_sent.add(header_bytes.size() + payload.size());
 
-    std::array<std::byte, FrameHeader::kSize> reply_bytes;
-    recv_exact(socket, reply_bytes.data(), reply_bytes.size(), deadline);
-    reply_header = decode_header(reply_bytes.data(), reply_bytes.size());
+    // A reply usually arrives whole: wait for it and take it with one recv.
+    std::array<std::byte, kReplyReadSize> buf;
+    std::size_t got = 0;
+    while (got < FrameHeader::kSize)
+      got += recv_some(socket, buf.data() + got, buf.size() - got, deadline);
+    reply_header = decode_header(buf.data(), FrameHeader::kSize);
     if (reply_header.request_id != header.request_id)
       throw NetError(NetError::Kind::kProtocol,
                      "reply correlates to request " +
                          std::to_string(reply_header.request_id) +
                          ", expected " + std::to_string(header.request_id));
-    reply_payload.resize(reply_header.payload_len);
-    if (reply_header.payload_len > 0)
-      recv_exact(socket, reply_payload.data(), reply_payload.size(),
-                 deadline);
+    const std::size_t frame_size =
+        FrameHeader::kSize + reply_header.payload_len;
+    // One request is in flight per connection, so anything past its reply
+    // means the stream is out of step.
+    if (got > frame_size)
+      throw NetError(NetError::Kind::kProtocol,
+                     std::to_string(got - frame_size) +
+                         " unexpected bytes after the reply frame");
+    reply_payload.assign(buf.begin() + FrameHeader::kSize, buf.begin() + got);
+    if (got < frame_size) {
+      reply_payload.resize(reply_header.payload_len);
+      recv_exact(socket, reply_payload.data() + (got - FrameHeader::kSize),
+                 frame_size - got, deadline);
+    }
     per.net.frames_received.add();
-    per.net.wire_bytes_received.add(reply_bytes.size() +
-                                    reply_payload.size());
+    per.net.wire_bytes_received.add(frame_size);
     if (timed)
       per.rtt_us->record(
           std::chrono::duration_cast<std::chrono::nanoseconds>(

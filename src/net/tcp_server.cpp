@@ -56,10 +56,12 @@ void TcpServer::stop() {
   if (stopped_.exchange(true)) return;
   if (reactor_) {
     // Graceful drain first (joins the loop thread), THEN drain the pool:
-    // stragglers the reactor gave up waiting for finish into the shared
-    // completion queue, which outlives the reactor, and are discarded.
+    // stragglers the reactor gave up waiting for find their connections
+    // closed. Destroying the reactor last releases every connection its
+    // tasks still held, so no descriptor outlives stop().
     reactor_->stop();
     workers_.reset();
+    reactor_.reset();
     listener_.close();
     return;
   }
@@ -109,9 +111,14 @@ void TcpServer::serve_connection(Socket socket) {
       recv_exact(socket, header_bytes.data(), header_bytes.size(), deadline);
       const FrameHeader header =
           decode_header(header_bytes.data(), header_bytes.size());
-      std::vector<std::byte> payload(header.payload_len);
-      if (header.payload_len > 0)
-        recv_exact(socket, payload.data(), payload.size(), deadline);
+      // Commit payload memory as its bytes arrive, not as announced.
+      std::vector<std::byte> payload;
+      while (payload.size() < header.payload_len) {
+        const std::size_t at = payload.size();
+        payload.resize(at + payload_chunk(at, header.payload_len));
+        recv_exact(socket, payload.data() + at, payload.size() - at,
+                   deadline);
+      }
       stats_.frames_in.add();
       stats_.bytes_in.add(FrameHeader::kSize + payload.size());
       if (!handle_frame(socket, header, std::move(payload))) return;
@@ -295,11 +302,11 @@ void TcpServer::send_frame(Socket& socket, FrameHeader header,
                            const std::vector<std::byte>& payload) {
   header.payload_len = static_cast<std::uint32_t>(payload.size());
   const auto bytes = encode_header(header);
-  const Deadline deadline = deadline_after(options_.io_deadline);
-  send_all(socket, bytes.data(), bytes.size(), deadline);
-  if (!payload.empty())
-    send_all(socket, payload.data(), payload.size(), deadline);
+  // Counted before any byte can reach the peer, so a client that reads the
+  // server's stats after its reply sees the reply counted.
   stats_.frames_out.add();
+  send_all(socket, bytes.data(), bytes.size(), payload.data(), payload.size(),
+           deadline_after(options_.io_deadline));
   stats_.bytes_out.add(bytes.size() + payload.size());
 }
 

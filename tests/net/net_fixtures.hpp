@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <filesystem>
 #include <memory>
+#include <string_view>
+#include <system_error>
 
 #include "../cluster/fixtures.hpp"
 #include "apar/net/tcp_middleware.hpp"
@@ -17,6 +21,19 @@
   } while (0)
 
 namespace apar::test {
+
+/// Descriptors this process holds open right now; with a `kind` such as
+/// "socket:", only those whose /proc link names that kind.
+inline std::size_t open_fd_count(std::string_view kind = {}) {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const auto target = std::filesystem::read_symlink(entry.path(), ec);
+    if (!ec && target.native().rfind(kind, 0) == 0) ++n;
+  }
+  return n;
+}
 
 /// One loopback server hosting Counter plus a client middleware wired to
 /// it — the standard two-ended rig for transport tests.

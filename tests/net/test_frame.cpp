@@ -234,3 +234,18 @@ TEST(Frame, EnvelopeExposesArgumentTail) {
   reader.value(v);
   EXPECT_EQ(v, 123);
 }
+
+TEST(Frame, PayloadMemoryGrowsWithArrivedBytes) {
+  constexpr std::size_t kMax = net::FrameHeader::kMaxPayload;
+  // A sieve-sized frame is received into one exact allocation...
+  EXPECT_EQ(net::payload_chunk(0, 160'000), 160'000u);
+  // ...a huge announced one commits a bounded first step, then grows no
+  // faster than the bytes that have arrived.
+  EXPECT_EQ(net::payload_chunk(0, kMax), net::kPayloadReserve);
+  EXPECT_EQ(net::payload_chunk(net::kPayloadReserve, kMax),
+            net::kPayloadReserve);
+  EXPECT_EQ(net::payload_chunk(3 * net::kPayloadReserve, kMax),
+            3 * net::kPayloadReserve);
+  EXPECT_EQ(net::payload_chunk(kMax - 10, kMax), 10u);
+  EXPECT_EQ(net::payload_chunk(kMax, kMax), 0u);
+}

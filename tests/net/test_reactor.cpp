@@ -1,20 +1,26 @@
 // Event-driven server mode (src/net/reactor): protocol equivalence with
 // thread-per-connection, incremental decode (1-byte trickle), pipelined
 // ordering, backpressure, slow-reader eviction, connection limits, idle
-// timeouts, graceful drain, chaos composition — on both poller backends.
+// timeouts, graceful drain, chaos composition — on both poller backends —
+// and the worker write path: partial direct writes, the shared pause
+// decision, and what a task may still touch once the reactor is gone.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
 
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "apar/cluster/fault_injection.hpp"
 #include "apar/cluster/rpc.hpp"
+#include "apar/concurrency/thread_pool.hpp"
 #include "apar/net/error.hpp"
+#include "apar/net/reactor.hpp"
+#include "apar/obs/metrics.hpp"
 #include "apar/serial/archive.hpp"
 #include "net_fixtures.hpp"
 
@@ -43,6 +49,9 @@ class Blob {
   [[nodiscard]] std::string make(long long n) const {
     return std::string(static_cast<std::size_t>(n), 'x');
   }
+  [[nodiscard]] std::string fill(long long n, long long c) const {
+    return std::string(static_cast<std::size_t>(n), static_cast<char>(c));
+  }
 };
 
 net::TcpServer::Options reactor_options() {
@@ -56,7 +65,10 @@ struct ReactorRig {
   explicit ReactorRig(net::TcpServer::Options opts = reactor_options()) {
     apar::test::register_counter(registry);
     registry.bind<Sleeper>("Sleeper").ctor<>().method<&Sleeper::nap>("nap");
-    registry.bind<Blob>("Blob").ctor<>().method<&Blob::make>("make");
+    registry.bind<Blob>("Blob")
+        .ctor<>()
+        .method<&Blob::make>("make")
+        .method<&Blob::fill>("fill");
     server = std::make_unique<net::TcpServer>(registry, opts);
     net::TcpMiddleware::Options mw;
     mw.endpoints = {{"127.0.0.1", server->port()}};
@@ -305,6 +317,9 @@ TEST(Reactor, InflightCapPausesReadsAndRecovers) {
                    as::encode(mw.wire_format(), 15LL));
     burst.insert(burst.end(), frame.begin(), frame.end());
   }
+  // One send: the whole burst arrives in one read, so the pause at the
+  // third frame leaves nine staged, and the client sends nothing after
+  // them. Only a resume that dispatches staged frames answers them all.
   net::send_all(socket, burst.data(), burst.size(),
                 net::deadline_after(std::chrono::milliseconds(1000)));
 
@@ -317,6 +332,69 @@ TEST(Reactor, InflightCapPausesReadsAndRecovers) {
   // 12 pipelined requests against a 3-deep inflight cap must have paused
   // reads at least once — and every reply still arrived, in order.
   EXPECT_GE(rig.server->stats().backpressure_pauses, 1u);
+}
+
+TEST(Reactor, MaxInflightOfOneNeverStaysPaused) {
+  APAR_REQUIRE_LOOPBACK();
+  auto opts = reactor_options();
+  opts.reactor.max_inflight = 1;
+  ReactorRig rig(opts);
+  auto& mw = *rig.middleware;
+  const auto handle =
+      mw.create(0, "Counter", as::encode(mw.wire_format(), 0LL));
+
+  // Every dispatch pauses this connection, and every reply's worker races
+  // the loop's pause decision. A resume lost to that race would leave the
+  // connection paused with nothing in flight: the next call would time out.
+  constexpr long long kCalls = 400;
+  for (long long i = 0; i < kCalls; ++i)
+    mw.invoke(handle, "add", as::encode(mw.wire_format(), 1LL));
+  const auto [value] = as::decode<long long>(
+      mw.invoke(handle, "get", as::encode(mw.wire_format())),
+      mw.wire_format());
+  EXPECT_EQ(value, kCalls);
+  EXPECT_GE(rig.server->stats().backpressure_pauses,
+            static_cast<std::uint64_t>(kCalls));
+}
+
+TEST(Reactor, PartialDirectWriteKeepsItsPlaceInLine) {
+  APAR_REQUIRE_LOOPBACK();
+  auto opts = reactor_options();
+  opts.reactor.sndbuf_bytes = 4 * 1024;
+  ReactorRig rig(opts);
+  auto& mw = *rig.middleware;
+  const auto blob = mw.create(0, "Blob", as::encode(mw.wire_format()));
+
+  // The first reply is next in order on an idle connection, so its worker
+  // writes it, and the small socket buffers take only part of it. The
+  // small replies behind it finish while its tail waits in the loop's
+  // outbound buffer; none of them may overtake that tail.
+  net::Socket socket = dial_small_rcvbuf(rig.endpoint(), 4 * 1024);
+  ASSERT_TRUE(socket.valid());
+  constexpr int kRequests = 6;
+  auto size_of = [](int i) { return i == 0 ? 256LL * 1024 : 100LL; };
+  std::vector<std::byte> burst;
+  for (int i = 0; i < kRequests; ++i) {
+    const auto frame =
+        call_frame(static_cast<std::uint64_t>(i), blob.object, "fill",
+                   as::encode(mw.wire_format(), size_of(i),
+                              static_cast<long long>('a' + i)));
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  net::send_all(socket, burst.data(), burst.size(),
+                net::deadline_after(std::chrono::milliseconds(1000)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const auto deadline = net::deadline_after(std::chrono::milliseconds(10000));
+  for (int i = 0; i < kRequests; ++i) {
+    const RawReply reply = recv_reply(socket, deadline);
+    ASSERT_EQ(reply.header.request_id, static_cast<std::uint64_t>(i));
+    const auto [n, c, text] = as::decode<long long, long long, std::string>(
+        reply.payload, mw.wire_format());
+    EXPECT_EQ(text, std::string(static_cast<std::size_t>(size_of(i)),
+                                static_cast<char>('a' + i)))
+        << "reply " << i;
+  }
 }
 
 TEST(Reactor, OutboundQueueCapPausesReads) {
@@ -460,6 +538,55 @@ TEST(Reactor, GracefulDrainFlushesInflightReplies) {
   EXPECT_EQ(reply.header.request_id, 42u);
 }
 
+TEST(Reactor, TaskOutlivingTheReactorHoldsOnlyItsConnection) {
+  APAR_REQUIRE_LOOPBACK();
+  net::Listener listener(0);
+  net::ServerStats stats;  // outlives the pool's tasks, as Reactor requires
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  auto pool = std::make_unique<apar::concurrency::ThreadPool>(1);
+  const std::size_t fds_before = apar::test::open_fd_count();
+  const std::size_t sockets_before = apar::test::open_fd_count("socket:");
+
+  net::Reactor::Options options;
+  options.drain_timeout = std::chrono::milliseconds(50);
+  auto reactor = std::make_unique<net::Reactor>(
+      listener, *pool,
+      [&](const net::FrameHeader& header, std::vector<std::byte>) {
+        entered.set_value();
+        released.wait();
+        net::ReplyAction action;
+        action.header.op = net::FrameHeader::Op::kReplyOk;
+        action.header.request_id = header.request_id;
+        return action;
+      },
+      options, stats, "outlive");
+
+  const auto deadline = net::deadline_after(std::chrono::milliseconds(2000));
+  net::Socket client = net::dial({"127.0.0.1", listener.port()}, deadline);
+  const auto frame = telemetry_frame(1);
+  net::send_all(client, frame.data(), frame.size(), deadline);
+  entered.get_future().wait();
+
+  // The drain gives up on the running handler: the reactor closes the
+  // connection under it and is destroyed before the task finishes.
+  reactor->stop();
+  reactor.reset();
+
+  // The peer sees the close at once...
+  std::array<std::byte, 1> byte;
+  EXPECT_THROW(net::recv_exact(client, byte.data(), 1, deadline),
+               net::NetError);
+  // ...while the server's descriptor stays open until the task lets go.
+  EXPECT_EQ(apar::test::open_fd_count("socket:"), sockets_before + 2);
+  release.set_value();
+  pool.reset();  // the task finishes against state it co-owns
+  EXPECT_EQ(apar::test::open_fd_count("socket:"), sockets_before + 1);
+  EXPECT_EQ(apar::test::open_fd_count(), fds_before + 1);  // the client
+  EXPECT_EQ(stats.frames_out.value(), 0u);
+}
+
 // --- many clients, few workers ----------------------------------------------
 
 TEST(Reactor, ServesManyMoreClientsThanWorkers) {
@@ -550,6 +677,42 @@ TEST(Reactor, FaultInjectionComposesOverReactor) {
       faulty.wire_format());
   EXPECT_EQ(value, delivered);
   EXPECT_GT(faulty.fault_stats().dropped.value(), 0u);
+}
+
+TEST(Reactor, QueueDepthRecordsOneSamplePerReplyOnBothWritePaths) {
+  APAR_REQUIRE_LOOPBACK();
+  apar::obs::MetricsHold metrics;
+  auto opts = reactor_options();
+  opts.workers = 4;
+  ReactorRig rig(opts);
+  const auto depth = apar::obs::MetricsRegistry::global().histogram(
+      "net.server.queue_depth",
+      {{"server", "tcp:" + std::to_string(rig.server->port())}},
+      apar::obs::Histogram::bytes_bounds());
+  const std::uint64_t before = depth->count();
+  auto& mw = *rig.middleware;
+
+  // Closed-loop calls: their workers write the replies.
+  const auto sleeper = mw.create(0, "Sleeper", as::encode(mw.wire_format()));
+  for (int i = 0; i < 20; ++i)
+    mw.invoke(sleeper, "nap", as::encode(mw.wire_format(), 0LL));
+  // Decreasing naps, pipelined: later replies finish first and park, so
+  // the loop writes them.
+  net::Socket socket = net::dial(
+      rig.endpoint(), net::deadline_after(std::chrono::milliseconds(1000)));
+  std::vector<std::byte> burst;
+  for (int i = 0; i < 4; ++i) {
+    const auto frame =
+        call_frame(static_cast<std::uint64_t>(i), sleeper.object, "nap",
+                   as::encode(mw.wire_format(), 10LL * (3 - i)));
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  net::send_all(socket, burst.data(), burst.size(),
+                net::deadline_after(std::chrono::milliseconds(1000)));
+  const auto deadline = net::deadline_after(std::chrono::milliseconds(5000));
+  for (int i = 0; i < 4; ++i) (void)recv_reply(socket, deadline);
+
+  EXPECT_EQ(depth->count() - before, rig.server->stats().frames_out);
 }
 
 // --- one counter mechanism --------------------------------------------------

@@ -3,9 +3,12 @@
 // retry-after-drop and server kill/restart.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "apar/cluster/rpc.hpp"
 #include "apar/net/error.hpp"
@@ -180,6 +183,47 @@ TEST(TcpTransport, StalledServerHitsClientDeadlineNotAHang) {
   const auto elapsed = std::chrono::steady_clock::now() - started;
   // The deadline bounded the wait: well under the server's 2s stall.
   EXPECT_LT(elapsed, std::chrono::milliseconds(1500));
+}
+
+TEST(TcpTransport, BytesAfterTheReplyFrameAreAProtocolError) {
+  APAR_REQUIRE_LOOPBACK();
+  // A hand-written server that answers one request with a valid reply
+  // frame plus one stray byte, in one write.
+  net::Listener listener(0);
+  std::thread server([&listener] {
+    try {
+      net::Socket peer = listener.accept(std::chrono::milliseconds(2000));
+      if (!peer.valid()) return;
+      const auto deadline =
+          net::deadline_after(std::chrono::milliseconds(2000));
+      std::array<std::byte, net::FrameHeader::kSize> head;
+      net::recv_exact(peer, head.data(), head.size(), deadline);
+      const auto request = net::decode_header(head.data(), head.size());
+      std::vector<std::byte> body(request.payload_len);
+      net::recv_exact(peer, body.data(), body.size(), deadline);
+      net::FrameHeader reply;
+      reply.op = net::FrameHeader::Op::kReplyOk;
+      reply.request_id = request.request_id;
+      const auto reply_head = net::encode_header(reply);
+      std::vector<std::byte> out(reply_head.begin(), reply_head.end());
+      out.push_back(std::byte{0x2a});
+      net::send_all(peer, out.data(), out.size(), deadline);
+      // Hold the connection until the client drops it.
+      net::recv_exact(peer, head.data(), 1, deadline);
+    } catch (const net::NetError&) {
+    }
+  });
+
+  net::TcpMiddleware::Options mopts;
+  mopts.endpoints = {{"127.0.0.1", listener.port()}};
+  net::TcpMiddleware mw(mopts);
+  try {
+    mw.bind_name("stray", ac::RemoteHandle{0, 1});
+    ADD_FAILURE() << "expected NetError{kProtocol}";
+  } catch (const net::NetError& e) {
+    EXPECT_EQ(e.kind(), net::NetError::Kind::kProtocol) << e.what();
+  }
+  server.join();
 }
 
 TEST(TcpTransport, LookupRetriesThroughDroppedReplies) {

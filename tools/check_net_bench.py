@@ -2,7 +2,9 @@
 """Validate BENCH_net.json (produced by tools/run_bench.py --net).
 
 Structural checks always run: every scenario must carry the full latency
-summary with ordered percentiles and a sane request accounting. With
+summary with ordered percentiles and a sane request accounting, and a
+full-mode document's comparison block must carry both modes' closed-loop
+throughput and p50 at the same client count. With
 --require-ratio R the acceptance gate is enforced too: the reactor
 scenario must serve at least R times thread-per-connection's sustainable
 connection count (its worker limit) at equal-or-better p99 under the same
@@ -51,6 +53,35 @@ def check_scenario(name, row):
         fail(f"scenario {name}: ok > 0 but throughput_rps <= 0")
 
 
+CLOSED_LOOP_KEYS = ("thread_closed_rps", "thread_closed_p50_us",
+                    "reactor_closed_rps", "reactor_closed_p50_us")
+
+
+def check_comparison(doc):
+    comparison = doc["comparison"]
+    clients = comparison.get("closed_loop_clients")
+    if not isinstance(clients, int) or clients <= 0:
+        fail(f"comparison: closed_loop_clients = {clients!r}")
+    for key in CLOSED_LOOP_KEYS:
+        value = comparison.get(key)
+        if not isinstance(value, (int, float)) or value <= 0:
+            fail(f"comparison: {key} = {value!r}")
+    workers = doc.get("workers")
+    for mode in ("thread", "reactor"):
+        name = f"{mode}_w{workers}_c{clients}"
+        row = doc["scenarios"].get(name)
+        if row is None:
+            fail(f"comparison: closed-loop scenario '{name}' missing")
+        if row["mode"] != "closed" or row["clients"] != clients:
+            fail(f"comparison: scenario '{name}' is not a closed loop of "
+                 f"{clients} clients")
+        if (row["throughput_rps"] != comparison[f"{mode}_closed_rps"] or
+                row["latency_us"]["p50"] !=
+                comparison[f"{mode}_closed_p50_us"]):
+            fail(f"comparison: {mode} closed-loop fields disagree with "
+                 f"scenario '{name}'")
+
+
 def check_ratio(doc, require_ratio):
     comparison = doc.get("comparison")
     if not comparison:
@@ -95,6 +126,8 @@ def main(argv):
         fail("no scenarios in document")
     for name, row in scenarios.items():
         check_scenario(name, row)
+    if "comparison" in doc:
+        check_comparison(doc)
     if args.require_ratio > 0:
         check_ratio(doc, args.require_ratio)
     print(f"check_net_bench: {args.path} OK ({len(scenarios)} scenarios)")

@@ -22,13 +22,17 @@ reactor-mode latency scenarios and writes BENCH_net.json:
 Scenarios (full mode; --quick runs one small closed-loop round for CI):
   thread_wW_cW    closed loop at thread mode's natural capacity
                   (clients == workers): the baseline service latency.
+  reactor_wW_cW   the same closed loop against Mode::kReactor: the two
+                  modes' peak throughput and p50 side by side.
   thread_wW_cN    open loop, N = 4x workers connections: thread-per-
                   connection past its worker limit (starved clients,
                   coordinated-omission-corrected percentiles).
   reactor_wW_cN   the same open-loop load against Mode::kReactor.
-The "comparison" block distills the acceptance question — how many
-connections the reactor sustains versus thread mode, at what p99 — and
-tools/check_net_bench.py gates on it.
+The "comparison" block distills the acceptance questions — how many
+connections the reactor sustains versus thread mode, at what p99, and how
+the two modes' closed-loop throughput and p50 compare — and
+tools/check_net_bench.py gates on it. The document records the host's core
+count and the build type of the binaries it ran.
 
 With --adapt it drives bench/adapt_scaling — the phase-shifting autonomic
 workload — and writes BENCH_adapt.json:
@@ -257,6 +261,18 @@ def run_loadgen(build, port, label, extra):
     return result
 
 
+def build_type(build):
+    """CMAKE_BUILD_TYPE of a build directory ("" when unset)."""
+    try:
+        with open(os.path.join(build, "CMakeCache.txt")) as fh:
+            for line in fh:
+                if line.startswith("CMAKE_BUILD_TYPE:"):
+                    return line.split("=", 1)[1].strip()
+    except OSError:
+        pass
+    return ""
+
+
 def run_net(args):
     workers = args.workers
     connections = args.connections
@@ -277,12 +293,13 @@ def run_net(args):
                          "--rate", str(args.rate),
                          "--measure-seconds", str(args.measure_seconds),
                          "--warmup-seconds", "1", "--timeout-ms", "1000"]
-            name = f"thread_w{workers}_c{workers}"
-            with NetServer(args.build, "thread", workers) as server:
-                scenarios[name] = run_loadgen(
-                    args.build, server.port, name,
-                    ["--mode", "closed", "--clients", str(workers),
-                     "--requests", "2000", "--warmup", "200"])
+            closed_args = ["--mode", "closed", "--clients", str(workers),
+                           "--requests", "2000", "--warmup", "200"]
+            for mode in ("thread", "reactor"):
+                name = f"{mode}_w{workers}_c{workers}"
+                with NetServer(args.build, mode, workers) as server:
+                    scenarios[name] = run_loadgen(
+                        args.build, server.port, name, closed_args)
             name = f"thread_w{workers}_c{connections}"
             with NetServer(args.build, "thread", workers) as server:
                 scenarios[name] = run_loadgen(args.build, server.port, name,
@@ -299,7 +316,8 @@ def run_net(args):
             fh.write("\n")
         return
 
-    doc = {"workers": workers, "scenarios": scenarios}
+    doc = {"nproc": os.cpu_count(), "build_type": build_type(args.build),
+           "workers": workers, "scenarios": scenarios}
     if not args.quick:
         # Thread-per-connection can serve at most `workers` connections at
         # once; the reactor scenario offers `connections` of them. The pair
@@ -307,6 +325,8 @@ def run_net(args):
         # apples comparison the acceptance gate checks.
         thread = scenarios[f"thread_w{workers}_c{connections}"]
         reactor = scenarios[f"reactor_w{workers}_c{connections}"]
+        thread_closed = scenarios[f"thread_w{workers}_c{workers}"]
+        reactor_closed = scenarios[f"reactor_w{workers}_c{workers}"]
         doc["comparison"] = {
             "thread_sustainable_connections": workers,
             "reactor_connections": connections,
@@ -316,6 +336,11 @@ def run_net(args):
             "reactor_p99_us": reactor["latency_us"]["p99"],
             "thread_errors": thread["errors"],
             "reactor_errors": reactor["errors"],
+            "closed_loop_clients": workers,
+            "thread_closed_rps": thread_closed["throughput_rps"],
+            "thread_closed_p50_us": thread_closed["latency_us"]["p50"],
+            "reactor_closed_rps": reactor_closed["throughput_rps"],
+            "reactor_closed_p50_us": reactor_closed["latency_us"]["p50"],
         }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)

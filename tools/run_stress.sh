@@ -3,7 +3,9 @@
 # cache`) and the real-TCP transport suite (`-L net` — which includes
 # the event-driven reactor tests: pipelining, backpressure, slow-reader
 # eviction and mode-parity, all prime tsan material since the reactor
-# loop hands frames to pool workers and flushes their completions back)
+# loop hands frames to pool workers, which share each connection's
+# writes with it; the stress label adds a seeded pipelining run against
+# those write paths)
 # and the scheduler suite (`-L scheduler` — online pool resize racing
 # posts, steals and parallel_for; a retirement that loses or double-runs
 # a task trips tsan and the exactly-once asserts)
