@@ -4,7 +4,8 @@
 // individually (un)pluggable.
 //
 //   - communication packing: fewer, bigger messages on the MPP farm;
-//   - thread pool: spawn cost vs pooled execution with many small packs;
+//   - thread pool: unbounded thread-per-call (on parked threads) vs a
+//     bounded pool, with many small packs;
 //   - object cache: repeated creations short-circuited.
 #include <cstdio>
 #include <memory>
@@ -129,7 +130,7 @@ void packing_ablation(const ab::FigureConfig& fig, double ns_per_op) {
 void thread_pool_ablation(const ab::FigureConfig& fig, double ns_per_op) {
   const long long expected = sv::count_primes_up_to(fig.max);
   sv::SieveConfig cfg = ab::to_sieve_config(fig, 4, ns_per_op);
-  cfg.pack_size = fig.pack_size / 10;  // many small packs: spawn cost shows
+  cfg.pack_size = fig.pack_size / 10;  // many small packs: dispatch shows
 
   ac::Table table({"Executor", "time (s)"});
   for (const bool pooled : {false, true}) {

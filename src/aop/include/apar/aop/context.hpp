@@ -110,8 +110,8 @@ class Context {
   }
 
   /// Explicit future-typed asynchronous call (paper §4.2's future method
-  /// calls): runs the full advice chain on a fresh tracked thread and
-  /// delivers the result through an ABCL-style future.
+  /// calls): runs the full advice chain on a thread of its own from
+  /// tasks() and delivers the result through an ABCL-style future.
   template <auto M, class... CallArgs>
   auto call_future(
       Ref<typename detail::MemberFnTraits<decltype(M)>::Class> target,

@@ -27,9 +27,10 @@ class AsyncControl {
 
 /// The paper's Concurrency aspect (§4.2, Figure 12), generalised and
 /// reusable: makes selected void methods asynchronous (each call runs the
-/// rest of its advice chain on a new tracked thread, with arguments copied
-/// by value) and guards selected methods with a per-object monitor, since
-/// core classes are not thread safe.
+/// rest of its advice chain at once on a thread of its own from the
+/// context's TaskGroup, with arguments copied by value) and guards
+/// selected methods with a per-object monitor, since core classes are not
+/// thread safe.
 ///
 /// Both halves can be toggled independently: unplugging the whole aspect
 /// (or set_enabled(false)) restores valid sequential execution — the

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -109,25 +110,19 @@ class FarmAspect : public aop::Aspect {
             aop::order::kPartitionSplit, aop::Scope::core_only(),
             [this](auto& inv) {
               auto& [data] = inv.args();
-              auto packs =
-                  split_into_packs<E>(data, pack_size_.load(std::memory_order_relaxed));
-              if (options_.batch_submit) {
-                // Pooled async dispatches below collect into one
-                // bulk_post, flushed when the scope closes; non-pooled
-                // dispatch is unaffected by the scope.
-                concurrency::TaskGroup::BatchScope batch(
-                    inv.context().tasks());
-                for (auto& pack : packs) {
-                  // Stay on the process() chain: the route advice below
-                  // picks the worker, then concurrency/distribution advice
-                  // apply.
-                  inv.proceed_with(pack);
-                }
-              } else {
-                for (auto& pack : packs) {
-                  inv.proceed_with(pack);
-                }
-              }
+              const std::size_t pack_size =
+                  pack_size_.load(std::memory_order_relaxed);
+              // Pooled async dispatches below collect into one bulk_post,
+              // flushed when the scope closes; non-pooled dispatch is
+              // unaffected by the scope.
+              std::optional<concurrency::TaskGroup::BatchScope> batch;
+              if (options_.batch_submit) batch.emplace(inv.context().tasks());
+              // Each pack is dispatched as soon as it is built, staying on
+              // the process() chain: the route advice below picks the
+              // worker, then concurrency/distribution advice apply.
+              for_each_pack(data, pack_size, [&](std::vector<E>& pack) {
+                inv.proceed_with(pack);
+              });
             })
         // Fan-out: the packs proceed down chains the composition is
         // expected to make asynchronous, and the route advice may hand

@@ -1,25 +1,40 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace apar::strategies {
 
 /// Split one large pack into sub-packs of at most `pack_size` elements —
-/// the default method-call splitter (paper §4.1, Figure 5).
+/// the default method-call splitter (paper §4.1, Figure 5) — and hand each
+/// one to `dispatch(std::vector<E>&)` as soon as it is built. Only the
+/// pack in hand is held here, so when each dispatch keeps its own copy (an
+/// asynchronous call) the packs are not held twice over.
+template <class E, class Dispatch>
+void for_each_pack(const std::vector<E>& data, std::size_t pack_size,
+                   Dispatch&& dispatch) {
+  if (pack_size == 0) pack_size = 1;
+  for (std::size_t begin = 0; begin < data.size(); begin += pack_size) {
+    const std::size_t end = std::min(begin + pack_size, data.size());
+    std::vector<E> pack(data.begin() + static_cast<std::ptrdiff_t>(begin),
+                        data.begin() + static_cast<std::ptrdiff_t>(end));
+    dispatch(pack);
+  }
+}
+
+/// All of for_each_pack's packs at once, for callers that queue or index
+/// the whole partition.
 template <class E>
 std::vector<std::vector<E>> split_into_packs(const std::vector<E>& data,
                                              std::size_t pack_size) {
   std::vector<std::vector<E>> packs;
-  if (pack_size == 0) pack_size = 1;
-  packs.reserve((data.size() + pack_size - 1) / pack_size);
-  for (std::size_t begin = 0; begin < data.size(); begin += pack_size) {
-    const std::size_t end = std::min(begin + pack_size, data.size());
-    packs.emplace_back(data.begin() + static_cast<std::ptrdiff_t>(begin),
-                       data.begin() + static_cast<std::ptrdiff_t>(end));
-  }
+  for_each_pack(data, pack_size, [&](std::vector<E>& pack) {
+    packs.push_back(std::move(pack));
+  });
   return packs;
 }
 

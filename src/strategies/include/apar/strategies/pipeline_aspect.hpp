@@ -94,13 +94,12 @@ class PipelineAspect : public aop::Aspect {
         aop::order::kPartitionSplit, aop::Scope::core_only(),
         [this](auto& inv) {
           auto& [data] = inv.args();
-          auto packs = split_into_packs<E>(data, options_.pack_size);
-          for (auto& pack : packs) {
+          for_each_pack(data, options_.pack_size, [&](std::vector<E>& pack) {
             // A fresh top-level call on the first stage: downstream aspects
             // (concurrency, distribution) and this aspect's own forward
             // advice all apply to it.
             inv.context().template call<&T::filter>(inv.target(), pack);
-          }
+          });
           // The original process() call is replaced; results accumulate in
           // the stages and are gathered via gather_results().
         });

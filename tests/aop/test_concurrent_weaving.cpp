@@ -7,11 +7,73 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <vector>
 
+#include "apar/aop/trace.hpp"
+#include "apar/obs/trace_context.hpp"
 #include "fixtures.hpp"
 
 namespace aop = apar::aop;
 using apar::test::Worker;
+
+TEST(ConcurrentWeaving, ReusedThreadStartsEachCallWithEmptyAspectStack) {
+  // An async continuation runs under the aspect stack of the call that
+  // spawned it, plus the frames of the advice it runs, inside a trace
+  // span. The group parks that thread afterwards; the next call it runs
+  // must start as on a fresh thread: no frames and no trace context.
+  aop::Context ctx;
+  auto split = std::make_shared<aop::Aspect>("split");
+  split->around_method<&Worker::process>(
+      aop::order::kPartitionSplit, aop::Scope::core_only(), [](auto& inv) {
+        // Issued inside split's frame: the continuation's snapshot is
+        // non-empty.
+        auto& [pack] = inv.args();
+        inv.context().template call<&Worker::process>(inv.target(), pack);
+      });
+  auto async = std::make_shared<aop::Aspect>("async");
+  async->around_method<&Worker::process>(
+      aop::order::kConcurrencyAsync, aop::Scope::any(),
+      [](auto& inv) { inv.context().tasks().spawn(inv.continuation()); });
+  auto tracer = std::make_shared<aop::Tracer>();
+  auto trace = std::make_shared<aop::TraceAspect<Worker>>(
+      "Trace", tracer, aop::order::kConcurrencyAsync + 10);
+  trace->trace_method<&Worker::process>();
+  std::size_t frames_in_call = 0;
+  bool traced_in_call = false;
+  std::thread::id call_thread;
+  auto probe = std::make_shared<aop::Aspect>("probe");
+  probe->around_method<&Worker::process>(
+      aop::order::kConcurrencyAsync + 20, aop::Scope::any(), [&](auto& inv) {
+        frames_in_call = aop::detail::tls_aspect_stack().size();
+        traced_in_call = apar::obs::current_context().valid();
+        call_thread = std::this_thread::get_id();
+        inv.proceed();
+      });
+  for (const auto& aspect :
+       std::vector<std::shared_ptr<aop::Aspect>>{split, async, trace, probe})
+    ctx.attach(aspect);
+
+  auto w = ctx.create<Worker>(1);
+  std::vector<int> pack{1};
+  ctx.call<&Worker::process>(w, pack);
+  ctx.quiesce();
+  ASSERT_EQ(w.local()->packs_seen().size(), 1u);
+  EXPECT_GE(frames_in_call, 3u);  // split, Trace, probe
+  EXPECT_TRUE(traced_in_call);
+
+  std::size_t frames_next = 1;
+  bool traced_next = true;
+  std::thread::id next_thread;
+  ctx.tasks().spawn([&] {
+    frames_next = aop::detail::tls_aspect_stack().size();
+    traced_next = apar::obs::current_context().valid();
+    next_thread = std::this_thread::get_id();
+  });
+  ctx.quiesce();
+  ASSERT_EQ(next_thread, call_thread);  // the one parked thread
+  EXPECT_EQ(frames_next, 0u);
+  EXPECT_FALSE(traced_next);
+}
 
 TEST(ConcurrentWeaving, PlugUnplugWhileCallsRun) {
   aop::Context ctx;

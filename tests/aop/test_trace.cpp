@@ -81,9 +81,12 @@ TEST(TraceAspect, ConcurrencyAspectShowsUpAsManyThreads) {
       });
   ctx.attach(async);
 
-  auto w = ctx.create<Worker>(1);
+  // One Worker per call: Worker is not thread safe and no monitor is
+  // plugged, so calls that overlap must not share one.
+  std::vector<aop::Ref<Worker>> workers;
+  for (int i = 0; i < 8; ++i) workers.push_back(ctx.create<Worker>(i));
   std::vector<int> pack{1};
-  for (int i = 0; i < 8; ++i) ctx.call<&Worker::process>(w, pack);
+  for (auto& w : workers) ctx.call<&Worker::process>(w, pack);
   ctx.quiesce();
   EXPECT_EQ(tracer->calls("Worker.process"), 8u);
   EXPECT_GT(tracer->thread_count(), 1u);

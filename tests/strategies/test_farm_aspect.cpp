@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <vector>
 
 #include "apar/strategies/concurrency_aspect.hpp"
 #include "apar/strategies/farm_aspect.hpp"
@@ -133,4 +134,30 @@ TEST(FarmAspect, SwappingPipelineForFarmIsAnAspectSwap) {
     ctx.quiesce();
     EXPECT_EQ(first.local()->take_results().size(), 30u);
   }
+}
+
+TEST(ForEachPack, HoldsOnlyThePackInHand) {
+  // The farm and pipeline splits dispatch through for_each_pack: each pack
+  // is handed on before the next is cut, so a dispatch that keeps its own
+  // copy (an asynchronous call) never coexists with a copy of every pack.
+  std::vector<std::shared_ptr<int>> data;
+  for (int i = 0; i < 10; ++i) data.push_back(std::make_shared<int>(i));
+  std::vector<std::size_t> sizes;
+  std::vector<long> held_outside_pack;
+  st::for_each_pack(data, 4, [&](std::vector<std::shared_ptr<int>>& pack) {
+    sizes.push_back(pack.size());
+    long extra = 0;
+    for (const auto& e : data) extra += e.use_count() - 1;
+    held_outside_pack.push_back(extra - static_cast<long>(pack.size()));
+  });
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{4, 4, 2}));
+  EXPECT_EQ(held_outside_pack, (std::vector<long>{0, 0, 0}));
+
+  std::size_t packs = 0;
+  st::for_each_pack(data, 0, [&](auto& pack) {
+    EXPECT_EQ(pack.size(), 1u);  // a pack size of 0 cuts single elements
+    ++packs;
+  });
+  EXPECT_EQ(packs, data.size());
+  EXPECT_EQ(st::split_into_packs(data, 4).size(), 3u);
 }
