@@ -273,11 +273,10 @@ class ThreadPool {
   // levels threadpool.workers (size()) and threadpool.queue_depth (tasks
   // accepted but not yet claimed), and the run-path series, which record
   // only while obs::metrics_enabled() — a shared write per task would
-  // contend on the scheduler's hot path: the histograms threadpool.wait_us
-  // / threadpool.queue_wait (the submit→start gap, the AdaptationAspect's
-  // key signal) / threadpool.run_us, and beside run_us the counters
+  // contend on the scheduler's hot path: the histograms
+  // threadpool.queue_wait (the submit→start gap, the AdaptationAspect's
+  // key signal) and threadpool.run_us, and beside run_us the counters
   // threadpool.tasks and threadpool.busy_us (its count and summed µs).
-  std::shared_ptr<obs::Histogram> wait_us_;
   std::shared_ptr<obs::Histogram> queue_wait_us_;
   std::shared_ptr<obs::Histogram> run_us_;
   std::shared_ptr<obs::Counter> tasks_;

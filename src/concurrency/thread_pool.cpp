@@ -137,7 +137,6 @@ ThreadPool::ThreadPool(std::size_t threads, std::size_t max_threads) {
   if (max_threads == 0) max_threads = std::max<std::size_t>(threads * 2, 8);
   max_threads = std::max(max_threads, threads);
   auto& registry = obs::MetricsRegistry::global();
-  wait_us_ = registry.histogram("threadpool.wait_us");
   queue_wait_us_ = registry.histogram("threadpool.queue_wait");
   run_us_ = registry.histogram("threadpool.run_us");
   tasks_ = registry.counter("threadpool.tasks");
@@ -360,7 +359,6 @@ void ThreadPool::run_node(TaskNode* node) {
                           started - node->enqueued)
                           .count() /
                       1000.0;
-    wait_us_->record(us);
     queue_wait_us_->record(us);
   }
   if (node->ctx.valid() && obs::tracing_enabled()) {

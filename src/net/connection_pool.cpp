@@ -4,6 +4,7 @@ namespace apar::net {
 
 ConnectionPool::Checkout ConnectionPool::acquire(const Endpoint& endpoint,
                                                  Deadline deadline) {
+  std::size_t discarded = 0;
   for (;;) {
     Socket candidate;
     {
@@ -16,13 +17,14 @@ ConnectionPool::Checkout ConnectionPool::acquire(const Endpoint& endpoint,
     // Validate outside the lock: idle_and_healthy polls the fd.
     if (candidate.idle_and_healthy()) {
       stats_.reuses.add();
-      return {std::move(candidate), true};
+      return {std::move(candidate), true, discarded};
     }
     stats_.discards.add();
+    ++discarded;
   }
   Socket fresh = dial(endpoint, deadline);
   stats_.dials.add();
-  return {std::move(fresh), false};
+  return {std::move(fresh), false, discarded};
 }
 
 void ConnectionPool::give_back(const Endpoint& endpoint, Socket socket) {

@@ -39,11 +39,14 @@ class ConnectionPool {
     stats_.export_as("net.pool", {{"pool", name}});
   }
 
-  /// What acquire() handed out: the connection plus whether it was a
-  /// reused idle one (callers count fresh dials as connects/reconnects).
+  /// What acquire() handed out: the connection, whether it was a reused
+  /// idle one, and how many stale idle ones it threw away on the way
+  /// (callers count fresh dials as connects, and dials that replace lost
+  /// connections as reconnects).
   struct Checkout {
     Socket socket;
     bool reused = false;
+    std::size_t discarded = 0;
   };
 
   /// Get a connection to `endpoint`, reusing an idle one when possible.

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "apar/aop/aop.hpp"
-#include "apar/concurrency/thread_pool.hpp"
 #include "apar/net/frame.hpp"
 #include "apar/net/socket.hpp"
 #include "apar/obs/counters.hpp"
@@ -20,10 +19,9 @@ namespace apar::net {
 /// as net.server.<field>{server}; stats() and a kTelemetry scrape read the
 /// same counters. Byte counts include frame headers. A reply's frames_out
 /// is counted before any of its bytes can reach the peer, so a client that
-/// reads the stats after its reply sees it counted. In reactor mode the
-/// loop and the pool workers that write replies share the counting, and
-/// the reactor-only fields (rejected: closed at accept, over
-/// max_connections; backpressure_pauses: read-pause transitions;
+/// reads the stats after its reply sees it counted. The reactor-only fields
+/// (rejected: closed at accept, over max_connections; backpressure_pauses:
+/// replies left partly unsent, which stop reads until they flush;
 /// idle_closed; slow_closed: stalled-write evictions) stay 0 in thread
 /// mode. dispatch_errors counts requests answered kReplyError.
 #define APAR_SERVER_STATS_FIELDS(X)                                        \
@@ -33,7 +31,7 @@ namespace apar::net {
 APAR_OBS_COUNTER_SET(ServerStats, APAR_SERVER_STATS_FIELDS);
 
 /// What the dispatch handler decided about one request frame: either a
-/// reply to queue back on the connection, or (chaos only) an instruction
+/// reply to write back on the connection, or (chaos only) an instruction
 /// to close the connection without replying — the same "lost reply"
 /// semantics TcpServer's thread-per-connection mode implements.
 struct ReplyAction {
@@ -42,100 +40,82 @@ struct ReplyAction {
   std::vector<std::byte> payload;
 };
 
-/// Event loop serving many connections over the frame protocol:
-/// nonblocking accept, staged reads, request dispatch into a shared
-/// work-stealing ThreadPool, and replies written strictly in request order
-/// with backpressure. The loop thread never runs user code.
+/// Leader/followers server for the frame protocol over one epoll set.
+/// `threads` threads wait in epoll_wait, and every connection is armed
+/// EPOLLIN | EPOLLONESHOT, so each readiness event goes to exactly one
+/// thread, which owns the connection until it re-arms it.
 ///
-/// Reading. The loop alone reads. It reads a readable socket with one recv
-/// into its staging buffer, dispatches every complete frame in it, and
-/// stops at a short read; level-triggered readiness brings it back for the
-/// rest. A large frame's payload, once its header is known, is received in
-/// place, and payload memory is committed only as its bytes arrive. Each
-/// frame gets an arrival-order sequence number. The loop calls the poller
-/// only when a connection's interest changes.
+/// The rule: a handler runs on the thread that read its frame. The owner
+/// reads with one recv into its staging buffer (a large frame's payload,
+/// once its header is known, is received in place, and payload memory is
+/// committed only as its bytes arrive), runs each complete frame's handler
+/// itself, writes the reply with one nonblocking sendmsg, and re-arms the
+/// connection. Every thread not running a handler keeps waiting on the
+/// set, so a blocked handler holds up only its own connection. With all
+/// threads in handlers, new frames wait in the kernel. One connection's
+/// frames are served one at a time in arrival order, so its replies leave
+/// in request order with no reordering.
 ///
-/// Writing. Each connection has a write lock shared by the loop and the
-/// pool workers. A worker whose reply is next in order, on a connection
-/// with nothing parked, buffered, paused or draining, writes the reply
-/// itself under that lock with one nonblocking gather write. Every other
-/// reply goes through the completion queue to the loop: out-of-order
-/// replies park until their predecessors are written, chaos drops close
-/// the connection, and a paused or draining connection is the loop's to
-/// decide. When a direct write is partial, the worker leaves the unsent
-/// tail in the connection's outbound buffer and queues a notice, so the
-/// loop finishes it and no later reply overtakes it. The loop's pause,
-/// resume and drain decisions and the workers' direct-write check run
-/// under the same lock. The queue's self-pipe is written only when the
-/// queue goes from empty to non-empty, and the loop reads it once per wake.
+/// Backpressure. When a reply is only partly written, the owner keeps the
+/// unsent tail and the bytes it read after that frame, and re-arms the
+/// connection for EPOLLOUT instead of reading. Whoever gets that event
+/// flushes the tail; once it is gone, the frames held behind it are served
+/// before anything newer is read. A connection therefore has at most one
+/// request being served and one unsent reply tail.
 ///
-/// Lifetimes. Every dispatched task co-owns its connection and the
-/// completion queue. Closing a connection shuts its socket down, so the
-/// peer sees the close at once, but the descriptor itself closes only
-/// when the last task holding the connection lets go, so its number cannot
-/// be reused under a worker still writing. A task that outlives stop(), or
-/// the Reactor, touches only what it co-owns, plus the handler's captures
-/// and `stats`, which the caller keeps alive until the pool has drained.
-///
-/// Backpressure: when a connection has `max_inflight` dispatched requests
-/// or `max_outbound_bytes` of un-flushed reply bytes, the loop stops
-/// reading from it; frames already staged when the pause began are
-/// dispatched on resume, before anything read later. Writes that make no
-/// progress for `write_stall_timeout` evict the connection (slow-reader
-/// protection); connections idle longer than `idle_timeout` are closed;
-/// accepts beyond `max_connections` are closed immediately and counted as
+/// Sweeps. About every 10 ms (kSweepInterval) one waiting thread checks the
+/// connection table. A connection no thread owns is closed when its tail
+/// makes no progress for `write_stall_timeout` (slow-reader eviction) or
+/// when it has been quiet longer than `idle_timeout` with nothing unread;
+/// a connection whose request is being served is never closed by a sweep.
+/// Accepts beyond `max_connections` are closed at once and counted as
 /// rejected.
 ///
-/// The epoll backend (Linux) is level-triggered; `force_poll` selects the
-/// portable poll(2) backend, which behaves identically and is exercised
-/// by the test suite so the fallback never rots.
+/// Closing. Only a connection's owner closes it. A sweep or stop() marks
+/// the connection closing and shuts its socket down, so the peer sees the
+/// close at once and the armed event fires; the thread that takes it
+/// removes the connection from the set and closes the descriptor, so no
+/// descriptor number is reused while an event for it may be in flight.
 class Reactor {
  public:
   struct Options {
     std::size_t max_connections = 1024;
     /// Close connections with no traffic for this long (0 = never).
     std::chrono::milliseconds idle_timeout{0};
-    /// Un-flushed reply bytes per connection before reads pause.
-    std::size_t max_outbound_bytes = 1 << 20;
-    /// Dispatched-but-unanswered requests per connection before reads
-    /// pause (bounds worker-queue amplification from one pipelining
-    /// client).
-    std::size_t max_inflight = 64;
-    /// Evict a connection whose pending writes make no progress this long.
+    /// Evict a connection whose unsent reply makes no progress this long.
     std::chrono::milliseconds write_stall_timeout{5000};
-    /// stop() grace: how long to wait for in-flight requests to finish
-    /// and queued replies to flush before force-closing.
+    /// stop() grace: how long requests being served may take to finish
+    /// and their replies to flush before every connection is shut down.
     std::chrono::milliseconds drain_timeout{2000};
-    /// Use the portable poll(2) backend even where epoll is available.
-    bool force_poll = false;
     /// Test knob: SO_SNDBUF for accepted sockets (0 = kernel default);
     /// small values make slow-reader eviction and partial writes
     /// deterministic.
     int sndbuf_bytes = 0;
   };
 
-  /// Runs on a pool worker with the decoded request; the reactor writes
+  /// Runs on the reactor thread that read the request; the reactor writes
   /// the reply it returns.
   using Handler =
       std::function<ReplyAction(const FrameHeader&, std::vector<std::byte>)>;
 
-  /// The listener must outlive the reactor and stay open until stop()
-  /// returns; `pool` executes handlers and is shared with the rest of the
-  /// server. The loop and the workers count into the server's `stats`,
-  /// which, like whatever `handler` captures, must outlive every task
-  /// posted to `pool`. `label` names the reactor's own series
-  /// ({"server", label}): the open-connections level and the queue-depth
-  /// histogram, which records one sample per reply in both write paths.
-  Reactor(Listener& listener, concurrency::ThreadPool& pool, Handler handler,
+  /// Starts `threads` (at least one) serving threads. The listener must
+  /// outlive the reactor and stay open until stop() returns. The threads
+  /// count into the server's `stats`. `label` names the reactor's own
+  /// series ({"server", label}): the open-connections level and the
+  /// queue-depth histogram, which records each reply's size.
+  Reactor(Listener& listener, std::size_t threads, Handler handler,
           Options options, ServerStats& stats, const std::string& label);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Graceful drain: stop accepting, stop reading, let in-flight requests
-  /// finish and queued replies flush (up to drain_timeout), close
-  /// everything, join the loop thread. Idempotent.
+  /// Graceful drain: stop accepting, close idle connections, and let
+  /// requests being served finish and their replies flush. At
+  /// drain_timeout every remaining connection is shut down, so its peer
+  /// sees the close then; a reply whose handler finishes later is
+  /// discarded. Returns once every handler has returned and every
+  /// descriptor the reactor opened is closed. Idempotent.
   void stop();
 
   [[nodiscard]] std::size_t open_connections() const;
@@ -146,12 +126,12 @@ class Reactor {
 };
 
 /// Analysis-side model of the reactor's dispatch path: every served
-/// method of T runs on an arbitrary ThreadPool worker, concurrently with
-/// any other request — concurrency injected by the transport rather than
-/// by a concurrency aspect, which the declared-effects race pass
-/// (`apar-analyze --effects`) must see. Each serve_method registers a
+/// method of T runs on an arbitrary server thread, concurrently with any
+/// request on another connection — concurrency injected by the transport
+/// rather than by a concurrency aspect, which the declared-effects race
+/// pass (`apar-analyze --effects`) must see. Each serve_method registers a
 /// pass-through advice just outside the concurrency layer marked
-/// mark_spawns_concurrency() (unconfined: pool workers, not a
+/// mark_spawns_concurrency() (unconfined: server threads, not a
 /// target-confined helper thread), so a weave is only clean when some
 /// aspect's monitors still cover every racing effect pair — the
 /// composition gate for serving a weave behind Mode::kReactor.

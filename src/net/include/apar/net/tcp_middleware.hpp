@@ -21,7 +21,9 @@ namespace apar::net {
 /// net.<field>{endpoint}: frame bytes INCLUDING headers, where the
 /// inherited MiddlewareStats counts payload bytes only, mirroring what the
 /// simulated middlewares charge. connects: fresh dials; reconnects: dials
-/// after the first; retries: lookup retry attempts.
+/// that replace a connection this middleware lost to the endpoint (an
+/// exchange failed on it, or the pool discarded or evicted it as stale);
+/// retries: lookup retry attempts.
 #define APAR_NET_STATS_FIELDS(X)                                      \
   X(connects) X(reconnects) X(retries) X(frames_sent) X(frames_received) \
   X(wire_bytes_sent) X(wire_bytes_received)
@@ -169,9 +171,9 @@ class TcpMiddleware final : public cluster::Middleware {
     NetStats net;
     /// net.rtt_us{endpoint}; records while obs::metrics_enabled().
     std::shared_ptr<obs::Histogram> rtt_us;
-    /// A dial after the first is a reconnect (the previous connection
-    /// went away).
-    std::atomic<bool> dialed{false};
+    /// Connections to this endpoint lost and not yet replaced by a dial;
+    /// each dial that replaces one counts as a reconnect.
+    std::atomic<std::uint64_t> lost{0};
   };
   std::unique_ptr<PerEndpoint[]> per_endpoint_;
 };

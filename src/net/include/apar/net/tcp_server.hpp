@@ -33,14 +33,14 @@ namespace apar::net {
 ///   most `workers` clients are served concurrently; additional
 ///   connections queue in the pool.
 ///
-///   kReactor (the C10K answer): a single event-loop thread multiplexes
-///   every connection (src/net/reactor — epoll, or poll via
-///   Options::reactor.force_poll) and dispatches decoded requests into
-///   the same ThreadPool, so `workers` bounds CPU concurrency while the
-///   connection count is bounded only by Options::reactor.max_connections.
-///   Adds write backpressure, idle timeouts, slow-reader eviction,
-///   connection limits and graceful drain. docs/networking.md has the
-///   architecture; tools/loadgen measures the difference.
+///   kReactor (the C10K answer): `workers` leader/followers threads share
+///   one epoll set (src/net/reactor); the thread that reads a request
+///   runs it and writes its reply, so `workers` bounds CPU concurrency
+///   while the connection count is bounded only by
+///   Options::reactor.max_connections. Adds write backpressure, idle
+///   timeouts, slow-reader eviction, connection limits and graceful
+///   drain. docs/networking.md has the architecture; tools/loadgen
+///   measures the difference.
 class TcpServer {
  public:
   enum class Mode {
@@ -50,7 +50,7 @@ class TcpServer {
 
   struct Options {
     std::uint16_t port = 0;      ///< 0 = pick an ephemeral port
-    std::size_t workers = 4;     ///< handler pool size (see Mode)
+    std::size_t workers = 4;     ///< handler threads (see Mode)
     Mode mode = Mode::kThreadPerConnection;
     /// Reactor-mode limits and timeouts; ignored in thread mode.
     Reactor::Options reactor;
@@ -94,10 +94,11 @@ class TcpServer {
   [[nodiscard]] std::size_t open_connections() const;
 
   /// Stop accepting and shut down. Thread mode closes the listener and
-  /// joins the handlers; reactor mode drains gracefully first (in-flight
-  /// requests finish and queued replies flush, up to
-  /// Options::reactor.drain_timeout). Every descriptor the server opened is
-  /// closed when it returns. Idempotent; the destructor calls it.
+  /// joins the handlers; reactor mode drains gracefully first (requests
+  /// being served finish and their replies flush; at
+  /// Options::reactor.drain_timeout every connection is shut down, and
+  /// stop() waits for handlers still running). Every descriptor the server
+  /// opened is closed when it returns. Idempotent; the destructor calls it.
   void stop();
 
  private:
@@ -106,7 +107,8 @@ class TcpServer {
   /// The mode-independent request path: chaos drop/stall decisions,
   /// serve-span tracing, dispatch, telemetry — everything between a
   /// decoded request frame and its encoded reply. Called from a
-  /// connection handler (thread mode) or a pool worker (reactor mode).
+  /// connection handler (thread mode) or the reactor thread that read
+  /// the frame (reactor mode).
   ReplyAction process_request(const FrameHeader& header,
                               std::vector<std::byte> payload);
   /// Handle one request frame; returns false when the connection must
@@ -134,9 +136,8 @@ class TcpServer {
 
   // Last members: workers_, acceptor_ and reactor_ run code touching
   // everything above, so they must be destroyed (joined) first. stop()
-  // tears them down in the safe order (reactor joined before the pool
-  // drains, listener closed last).
-  std::unique_ptr<concurrency::ThreadPool> workers_;
+  // tears them down in the safe order (listener closed last).
+  std::unique_ptr<concurrency::ThreadPool> workers_;  ///< thread mode only
   std::thread acceptor_;
   std::unique_ptr<Reactor> reactor_;
 };

@@ -109,10 +109,16 @@ TcpMiddleware::Exchange TcpMiddleware::exchange(
 
   auto checkout =
       pool_.acquire(ep, deadline_after(options_.connect_deadline));
+  if (checkout.discarded > 0)
+    per.lost.fetch_add(checkout.discarded, std::memory_order_relaxed);
   if (!checkout.reused) {
     per.net.connects.add();
-    if (per.dialed.exchange(true, std::memory_order_relaxed))
-      per.net.reconnects.add();
+    // A dial replaces a lost connection when one is still unreplaced.
+    std::uint64_t lost = per.lost.load(std::memory_order_relaxed);
+    while (lost > 0 && !per.lost.compare_exchange_weak(
+                           lost, lost - 1, std::memory_order_relaxed)) {
+    }
+    if (lost > 0) per.net.reconnects.add();
   }
   Socket socket = std::move(checkout.socket);
 
@@ -173,8 +179,10 @@ TcpMiddleware::Exchange TcpMiddleware::exchange(
     // era and are presumed equally stale (drained/restarted server whose
     // half-open sockets still pass the health poll) — evict them so the
     // next acquire dials the new era instead of burning one timeout per
-    // stale socket.
-    if (checkout.reused) pool_.evict(ep);
+    // stale socket. Each connection lost here makes a later dial a
+    // reconnect.
+    const std::size_t evicted = checkout.reused ? pool_.evict(ep) : 0;
+    per.lost.fetch_add(1 + evicted, std::memory_order_relaxed);
     throw;
   }
 

@@ -37,15 +37,15 @@ TcpServer::TcpServer(const cluster::rpc::Registry& registry, Options options)
                                 : options_.label) {
   if (options_.workers == 0) options_.workers = 1;
   stats_.export_as("net.server", {{"server", dispatcher_.label()}});
-  workers_ = std::make_unique<concurrency::ThreadPool>(options_.workers);
   if (options_.mode == Mode::kReactor) {
     reactor_ = std::make_unique<Reactor>(
-        listener_, *workers_,
+        listener_, options_.workers,
         [this](const FrameHeader& header, std::vector<std::byte> payload) {
           return process_request(header, std::move(payload));
         },
         options_.reactor, stats_, dispatcher_.label());
   } else {
+    workers_ = std::make_unique<concurrency::ThreadPool>(options_.workers);
     acceptor_ = std::thread([this] { accept_loop(); });
   }
 }
@@ -55,12 +55,9 @@ TcpServer::~TcpServer() { stop(); }
 void TcpServer::stop() {
   if (stopped_.exchange(true)) return;
   if (reactor_) {
-    // Graceful drain first (joins the loop thread), THEN drain the pool:
-    // stragglers the reactor gave up waiting for find their connections
-    // closed. Destroying the reactor last releases every connection its
-    // tasks still held, so no descriptor outlives stop().
+    // Reactor::stop() returns once every handler has returned and every
+    // descriptor the reactor opened is closed; the listener closes last.
     reactor_->stop();
-    workers_.reset();
     reactor_.reset();
     listener_.close();
     return;

@@ -1,23 +1,25 @@
 // Event-driven server mode (src/net/reactor): protocol equivalence with
 // thread-per-connection, incremental decode (1-byte trickle), pipelined
 // ordering, backpressure, slow-reader eviction, connection limits, idle
-// timeouts, graceful drain, chaos composition — on both poller backends —
-// and the worker write path: partial direct writes, the shared pause
-// decision, and what a task may still touch once the reactor is gone.
+// timeouts, graceful drain, chaos composition, and the leader/followers
+// contract: a blocked handler holds up only its own connection, one
+// connection's requests are served one at a time, and a sweep never closes
+// a connection whose request is being served.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "apar/cluster/fault_injection.hpp"
 #include "apar/cluster/rpc.hpp"
-#include "apar/concurrency/thread_pool.hpp"
 #include "apar/net/error.hpp"
 #include "apar/net/reactor.hpp"
 #include "apar/obs/metrics.hpp"
@@ -43,6 +45,38 @@ class Sleeper {
   }
 };
 
+/// Records how many of its calls run at once and the order they finish.
+struct OverlapProbe {
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  std::mutex mu;
+  std::vector<long long> finished;
+};
+
+OverlapProbe& overlap_probe() {
+  static OverlapProbe probe;
+  return probe;
+}
+
+class Serial {
+ public:
+  Serial() = default;
+  long long step(long long id, long long ms) {
+    OverlapProbe& p = overlap_probe();
+    const int now = p.running.fetch_add(1) + 1;
+    int peak = p.peak.load();
+    while (now > peak && !p.peak.compare_exchange_weak(peak, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+    {
+      std::lock_guard lock(p.mu);
+      p.finished.push_back(id);
+    }
+    p.running.fetch_sub(1);
+    return id;
+  }
+};
+
 class Blob {
  public:
   Blob() = default;
@@ -65,6 +99,7 @@ struct ReactorRig {
   explicit ReactorRig(net::TcpServer::Options opts = reactor_options()) {
     apar::test::register_counter(registry);
     registry.bind<Sleeper>("Sleeper").ctor<>().method<&Sleeper::nap>("nap");
+    registry.bind<Serial>("Serial").ctor<>().method<&Serial::step>("step");
     registry.bind<Blob>("Blob")
         .ctor<>()
         .method<&Blob::make>("make")
@@ -152,20 +187,11 @@ net::Socket dial_small_rcvbuf(const net::Endpoint& endpoint, int rcvbuf) {
 
 }  // namespace
 
-// --- protocol equivalence on both poller backends ---------------------------
+// --- protocol equivalence ---------------------------------------------------
 
-class ReactorBackends : public ::testing::TestWithParam<bool> {};
-
-INSTANTIATE_TEST_SUITE_P(Poller, ReactorBackends, ::testing::Values(false, true),
-                         [](const auto& info) {
-                           return info.param ? "poll_fallback" : "native";
-                         });
-
-TEST_P(ReactorBackends, RoundTripCreateInvokeLookupTelemetry) {
+TEST(ReactorBackends, RoundTripCreateInvokeLookupTelemetry) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
-  opts.reactor.force_poll = GetParam();
-  ReactorRig rig(opts);
+  ReactorRig rig;
   auto& mw = *rig.middleware;
 
   const auto handle = mw.create(0, "Counter", as::encode(mw.wire_format(), 3LL));
@@ -298,65 +324,6 @@ TEST(Reactor, PipelinedRepliesKeepRequestOrder) {
 
 // --- backpressure -----------------------------------------------------------
 
-TEST(Reactor, InflightCapPausesReadsAndRecovers) {
-  APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
-  opts.workers = 2;
-  opts.reactor.max_inflight = 3;
-  ReactorRig rig(opts);
-  auto& mw = *rig.middleware;
-  const auto sleeper = mw.create(0, "Sleeper", as::encode(mw.wire_format()));
-
-  net::Socket socket = net::dial(
-      rig.endpoint(), net::deadline_after(std::chrono::milliseconds(1000)));
-  constexpr int kRequests = 12;
-  std::vector<std::byte> burst;
-  for (int i = 0; i < kRequests; ++i) {
-    const auto frame =
-        call_frame(static_cast<std::uint64_t>(i), sleeper.object, "nap",
-                   as::encode(mw.wire_format(), 15LL));
-    burst.insert(burst.end(), frame.begin(), frame.end());
-  }
-  // One send: the whole burst arrives in one read, so the pause at the
-  // third frame leaves nine staged, and the client sends nothing after
-  // them. Only a resume that dispatches staged frames answers them all.
-  net::send_all(socket, burst.data(), burst.size(),
-                net::deadline_after(std::chrono::milliseconds(1000)));
-
-  const auto deadline = net::deadline_after(std::chrono::milliseconds(10000));
-  for (int i = 0; i < kRequests; ++i) {
-    const RawReply reply = recv_reply(socket, deadline);
-    EXPECT_EQ(reply.header.request_id, static_cast<std::uint64_t>(i));
-    EXPECT_EQ(reply.header.op, net::FrameHeader::Op::kReplyOk);
-  }
-  // 12 pipelined requests against a 3-deep inflight cap must have paused
-  // reads at least once — and every reply still arrived, in order.
-  EXPECT_GE(rig.server->stats().backpressure_pauses, 1u);
-}
-
-TEST(Reactor, MaxInflightOfOneNeverStaysPaused) {
-  APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
-  opts.reactor.max_inflight = 1;
-  ReactorRig rig(opts);
-  auto& mw = *rig.middleware;
-  const auto handle =
-      mw.create(0, "Counter", as::encode(mw.wire_format(), 0LL));
-
-  // Every dispatch pauses this connection, and every reply's worker races
-  // the loop's pause decision. A resume lost to that race would leave the
-  // connection paused with nothing in flight: the next call would time out.
-  constexpr long long kCalls = 400;
-  for (long long i = 0; i < kCalls; ++i)
-    mw.invoke(handle, "add", as::encode(mw.wire_format(), 1LL));
-  const auto [value] = as::decode<long long>(
-      mw.invoke(handle, "get", as::encode(mw.wire_format())),
-      mw.wire_format());
-  EXPECT_EQ(value, kCalls);
-  EXPECT_GE(rig.server->stats().backpressure_pauses,
-            static_cast<std::uint64_t>(kCalls));
-}
-
 TEST(Reactor, PartialDirectWriteKeepsItsPlaceInLine) {
   APAR_REQUIRE_LOOPBACK();
   auto opts = reactor_options();
@@ -365,10 +332,9 @@ TEST(Reactor, PartialDirectWriteKeepsItsPlaceInLine) {
   auto& mw = *rig.middleware;
   const auto blob = mw.create(0, "Blob", as::encode(mw.wire_format()));
 
-  // The first reply is next in order on an idle connection, so its worker
-  // writes it, and the small socket buffers take only part of it. The
-  // small replies behind it finish while its tail waits in the loop's
-  // outbound buffer; none of them may overtake that tail.
+  // The small socket buffers take only part of the first reply. The small
+  // requests read with it wait behind its unsent tail; none of their
+  // replies may overtake that tail.
   net::Socket socket = dial_small_rcvbuf(rig.endpoint(), 4 * 1024);
   ASSERT_TRUE(socket.valid());
   constexpr int kRequests = 6;
@@ -400,7 +366,6 @@ TEST(Reactor, PartialDirectWriteKeepsItsPlaceInLine) {
 TEST(Reactor, OutboundQueueCapPausesReads) {
   APAR_REQUIRE_LOOPBACK();
   auto opts = reactor_options();
-  opts.reactor.max_outbound_bytes = 16 * 1024;
   opts.reactor.sndbuf_bytes = 8 * 1024;
   ReactorRig rig(opts);
   auto& mw = *rig.middleware;
@@ -420,8 +385,8 @@ TEST(Reactor, OutboundQueueCapPausesReads) {
   net::send_all(socket, burst.data(), burst.size(),
                 net::deadline_after(std::chrono::milliseconds(2000)));
 
-  // Read slowly enough that the server's outbound queue passes the cap at
-  // least once, but keep draining so every reply eventually lands.
+  // Read slowly enough that a reply waits for socket space at least once,
+  // but keep draining so every reply eventually lands.
   const auto deadline = net::deadline_after(std::chrono::milliseconds(20000));
   for (int i = 0; i < kRequests; ++i) {
     const RawReply reply = recv_reply(socket, deadline);
@@ -541,18 +506,16 @@ TEST(Reactor, GracefulDrainFlushesInflightReplies) {
 TEST(Reactor, TaskOutlivingTheReactorHoldsOnlyItsConnection) {
   APAR_REQUIRE_LOOPBACK();
   net::Listener listener(0);
-  net::ServerStats stats;  // outlives the pool's tasks, as Reactor requires
+  net::ServerStats stats;
   std::promise<void> entered;
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
-  auto pool = std::make_unique<apar::concurrency::ThreadPool>(1);
   const std::size_t fds_before = apar::test::open_fd_count();
-  const std::size_t sockets_before = apar::test::open_fd_count("socket:");
 
   net::Reactor::Options options;
-  options.drain_timeout = std::chrono::milliseconds(50);
+  options.drain_timeout = std::chrono::milliseconds(100);
   auto reactor = std::make_unique<net::Reactor>(
-      listener, *pool,
+      listener, 1,
       [&](const net::FrameHeader& header, std::vector<std::byte>) {
         entered.set_value();
         released.wait();
@@ -563,28 +526,134 @@ TEST(Reactor, TaskOutlivingTheReactorHoldsOnlyItsConnection) {
       },
       options, stats, "outlive");
 
-  const auto deadline = net::deadline_after(std::chrono::milliseconds(2000));
+  const auto deadline = net::deadline_after(std::chrono::milliseconds(5000));
   net::Socket client = net::dial({"127.0.0.1", listener.port()}, deadline);
   const auto frame = telemetry_frame(1);
   net::send_all(client, frame.data(), frame.size(), deadline);
   entered.get_future().wait();
 
-  // The drain gives up on the running handler: the reactor closes the
-  // connection under it and is destroyed before the task finishes.
-  reactor->stop();
-  reactor.reset();
+  // The handler is stuck past the drain timeout.
+  const auto stop_started = std::chrono::steady_clock::now();
+  auto stopped = std::async(std::launch::async, [&] { reactor->stop(); });
 
-  // The peer sees the close at once...
+  // The peer sees the close at the deadline...
   std::array<std::byte, 1> byte;
   EXPECT_THROW(net::recv_exact(client, byte.data(), 1, deadline),
                net::NetError);
-  // ...while the server's descriptor stays open until the task lets go.
-  EXPECT_EQ(apar::test::open_fd_count("socket:"), sockets_before + 2);
+  EXPECT_GE(std::chrono::steady_clock::now() - stop_started,
+            options.drain_timeout);
+  // ...while stop() waits for the handler, and returns once it does.
+  EXPECT_EQ(stopped.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
   release.set_value();
-  pool.reset();  // the task finishes against state it co-owns
-  EXPECT_EQ(apar::test::open_fd_count("socket:"), sockets_before + 1);
-  EXPECT_EQ(apar::test::open_fd_count(), fds_before + 1);  // the client
+  stopped.get();
+
+  // The late reply was never counted, and every descriptor the reactor
+  // opened is closed: only the client is left.
   EXPECT_EQ(stats.frames_out.value(), 0u);
+  EXPECT_EQ(apar::test::open_fd_count(), fds_before + 1);
+  reactor.reset();
+  EXPECT_EQ(apar::test::open_fd_count(), fds_before + 1);
+}
+
+// --- one connection at a time, many at once ---------------------------------
+
+TEST(Reactor, BlockedHandlerHoldsUpOnlyItsConnection) {
+  APAR_REQUIRE_LOOPBACK();
+  auto opts = reactor_options();
+  opts.workers = 2;
+  ReactorRig rig(opts);
+  auto& mw = *rig.middleware;
+  const auto sleeper = mw.create(0, "Sleeper", as::encode(mw.wire_format()));
+  const auto counter =
+      mw.create(0, "Counter", as::encode(mw.wire_format(), 0LL));
+
+  net::Socket blocked = net::dial(
+      rig.endpoint(), net::deadline_after(std::chrono::milliseconds(1000)));
+  const std::uint64_t frames_before = rig.server->stats().frames_in;
+  const auto frame = call_frame(7, sleeper.object, "nap",
+                                as::encode(mw.wire_format(), 500LL));
+  net::send_all(blocked, frame.data(), frame.size(),
+                net::deadline_after(std::chrono::milliseconds(1000)));
+  // Its handler has started once the server has read the frame.
+  const auto read_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (rig.server->stats().frames_in == frames_before &&
+         std::chrono::steady_clock::now() < read_by)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_GT(rig.server->stats().frames_in, frames_before);
+
+  const auto started = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50; ++i)
+    mw.invoke(counter, "add", as::encode(mw.wire_format(), 1LL));
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::milliseconds(300))
+      << "calls on another connection waited for the blocked handler";
+
+  const RawReply reply = recv_reply(
+      blocked, net::deadline_after(std::chrono::milliseconds(5000)));
+  EXPECT_EQ(reply.header.op, net::FrameHeader::Op::kReplyOk);
+  EXPECT_EQ(reply.header.request_id, 7u);
+}
+
+TEST(Reactor, PipelinedRequestsRunOneAtATimeInArrivalOrder) {
+  APAR_REQUIRE_LOOPBACK();
+  auto opts = reactor_options();
+  opts.workers = 4;  // idle threads that could overlap them, if allowed to
+  ReactorRig rig(opts);
+  auto& mw = *rig.middleware;
+  const auto serial = mw.create(0, "Serial", as::encode(mw.wire_format()));
+  OverlapProbe& probe = overlap_probe();
+  probe.peak = 0;
+  {
+    std::lock_guard lock(probe.mu);
+    probe.finished.clear();
+  }
+
+  net::Socket socket = net::dial(
+      rig.endpoint(), net::deadline_after(std::chrono::milliseconds(1000)));
+  constexpr int kRequests = 8;
+  std::vector<std::byte> burst;
+  for (int i = 0; i < kRequests; ++i) {
+    const long long ms = (kRequests - i) % 3 * 5;
+    const auto frame =
+        call_frame(static_cast<std::uint64_t>(i), serial.object, "step",
+                   as::encode(mw.wire_format(), static_cast<long long>(i), ms));
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  net::send_all(socket, burst.data(), burst.size(),
+                net::deadline_after(std::chrono::milliseconds(1000)));
+
+  const auto deadline = net::deadline_after(std::chrono::milliseconds(5000));
+  for (int i = 0; i < kRequests; ++i) {
+    const RawReply reply = recv_reply(socket, deadline);
+    EXPECT_EQ(reply.header.request_id, static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(probe.peak.load(), 1) << "handlers of one connection overlapped";
+  std::vector<long long> expected(kRequests);
+  for (int i = 0; i < kRequests; ++i) expected[i] = i;
+  std::lock_guard lock(probe.mu);
+  EXPECT_EQ(probe.finished, expected);
+}
+
+TEST(Reactor, HandlerLongerThanIdleTimeoutIsAnswered) {
+  APAR_REQUIRE_LOOPBACK();
+  auto opts = reactor_options();
+  opts.reactor.idle_timeout = std::chrono::milliseconds(100);
+  ReactorRig rig(opts);
+  auto& mw = *rig.middleware;
+  const auto sleeper = mw.create(0, "Sleeper", as::encode(mw.wire_format()));
+
+  net::Socket socket = net::dial(
+      rig.endpoint(), net::deadline_after(std::chrono::milliseconds(1000)));
+  const auto frame = call_frame(3, sleeper.object, "nap",
+                                as::encode(mw.wire_format(), 300LL));
+  net::send_all(socket, frame.data(), frame.size(),
+                net::deadline_after(std::chrono::milliseconds(1000)));
+  const RawReply reply = recv_reply(
+      socket, net::deadline_after(std::chrono::milliseconds(3000)));
+  EXPECT_EQ(reply.header.op, net::FrameHeader::Op::kReplyOk);
+  EXPECT_EQ(reply.header.request_id, 3u);
 }
 
 // --- many clients, few workers ----------------------------------------------
@@ -692,12 +761,11 @@ TEST(Reactor, QueueDepthRecordsOneSamplePerReplyOnBothWritePaths) {
   const std::uint64_t before = depth->count();
   auto& mw = *rig.middleware;
 
-  // Closed-loop calls: their workers write the replies.
+  // Closed-loop calls.
   const auto sleeper = mw.create(0, "Sleeper", as::encode(mw.wire_format()));
   for (int i = 0; i < 20; ++i)
     mw.invoke(sleeper, "nap", as::encode(mw.wire_format(), 0LL));
-  // Decreasing naps, pipelined: later replies finish first and park, so
-  // the loop writes them.
+  // Decreasing naps, pipelined on one connection.
   net::Socket socket = net::dial(
       rig.endpoint(), net::deadline_after(std::chrono::milliseconds(1000)));
   std::vector<std::byte> burst;
@@ -719,26 +787,26 @@ TEST(Reactor, QueueDepthRecordsOneSamplePerReplyOnBothWritePaths) {
 
 TEST(Reactor, StatsTelemetryAndRegistryAreOneSetOfCounters) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
-  opts.reactor.max_inflight = 2;
-  ReactorRig rig(opts);
+  ReactorRig rig;
   auto& mw = *rig.middleware;
-  const auto sleeper = mw.create(0, "Sleeper", as::encode(mw.wire_format()));
+  const auto blob = mw.create(0, "Blob", as::encode(mw.wire_format()));
 
-  // Pipeline past the inflight cap so a reactor-only counter moves too.
-  net::Socket socket = net::dial(
-      rig.endpoint(), net::deadline_after(std::chrono::milliseconds(1000)));
+  // Replies larger than the client's receive window plus any send buffer
+  // the kernel grants wait for socket space, so a reactor-only counter
+  // moves too.
+  net::Socket socket = dial_small_rcvbuf(rig.endpoint(), 4 * 1024);
+  ASSERT_TRUE(socket.valid());
   std::vector<std::byte> burst;
-  for (int i = 0; i < 6; ++i) {
-    const auto frame = call_frame(static_cast<std::uint64_t>(i),
-                                  sleeper.object, "nap",
-                                  as::encode(mw.wire_format(), 5LL));
+  for (int i = 0; i < 2; ++i) {
+    const auto frame =
+        call_frame(static_cast<std::uint64_t>(i), blob.object, "make",
+                   as::encode(mw.wire_format(), 4LL * 1024 * 1024));
     burst.insert(burst.end(), frame.begin(), frame.end());
   }
   net::send_all(socket, burst.data(), burst.size(),
                 net::deadline_after(std::chrono::milliseconds(1000)));
   const auto deadline = net::deadline_after(std::chrono::milliseconds(10000));
-  for (int i = 0; i < 6; ++i) (void)recv_reply(socket, deadline);
+  for (int i = 0; i < 2; ++i) (void)recv_reply(socket, deadline);
 
   const std::string telemetry = mw.telemetry(0);
   const auto stats = rig.server->stats();

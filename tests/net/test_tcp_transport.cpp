@@ -243,6 +243,24 @@ TEST(TcpTransport, LookupRetriesThroughDroppedReplies) {
   EXPECT_EQ(rig.server->stats().chaos_dropped, 2u);
 }
 
+TEST(TcpTransport, ConcurrentFirstDialsAreNotReconnects) {
+  APAR_REQUIRE_LOOPBACK();
+  net::TcpServer::Options sopts;
+  sopts.chaos_stall_frames = 4;  // each first call holds its connection
+  sopts.chaos_stall_ms = std::chrono::milliseconds(100);
+  TcpRig rig(as::Format::kCompact, sopts);
+  auto& mw = *rig.middleware;
+
+  // Four threads make their first calls at once, so none can reuse
+  // another's connection: four dials, and nothing was lost to replace.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&mw] { EXPECT_FALSE(mw.lookup("PS1").has_value()); });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mw.net_counters().connects, 4u);
+  EXPECT_EQ(mw.net_counters().reconnects, 0u);
+}
+
 TEST(TcpTransport, NonIdempotentCallsDoNotRetry) {
   APAR_REQUIRE_LOOPBACK();
   net::TcpServer::Options sopts;

@@ -61,7 +61,7 @@ TEST(SubstrateMetrics, ThreadPoolFeedsRegistry) {
   MetricsOn on;
   auto& reg = obs::MetricsRegistry::global();
   const auto tasks0 = counter_value("threadpool.tasks");
-  const auto wait0 = reg.histogram("threadpool.wait_us")->count();
+  const auto wait0 = reg.histogram("threadpool.queue_wait")->count();
   {
     cc::ThreadPool pool(2);
     EXPECT_EQ(level("threadpool.workers"), 2);
@@ -69,7 +69,7 @@ TEST(SubstrateMetrics, ThreadPoolFeedsRegistry) {
     pool.drain();
   }
   EXPECT_EQ(counter_value("threadpool.tasks"), tasks0 + 10);
-  EXPECT_EQ(reg.histogram("threadpool.wait_us")->count(), wait0 + 10);
+  EXPECT_EQ(reg.histogram("threadpool.queue_wait")->count(), wait0 + 10);
   EXPECT_EQ(level("threadpool.workers"), 0);
   EXPECT_EQ(level("threadpool.queue_depth"), 0);
 }
@@ -81,14 +81,14 @@ TEST(SubstrateMetrics, ThreadPoolSilentWhenDisabled) {
   auto& reg = obs::MetricsRegistry::global();
   const auto tasks0 = counter_value("threadpool.tasks");
   const auto busy0 = counter_value("threadpool.busy_us");
-  const auto wait0 = reg.histogram("threadpool.wait_us")->count();
+  const auto wait0 = reg.histogram("threadpool.queue_wait")->count();
   const auto run0 = reg.histogram("threadpool.run_us")->count();
   cc::ThreadPool pool(2);
   for (int i = 0; i < 5; ++i) pool.post([] {});
   pool.drain();
   EXPECT_EQ(counter_value("threadpool.tasks"), tasks0);
   EXPECT_EQ(counter_value("threadpool.busy_us"), busy0);
-  EXPECT_EQ(reg.histogram("threadpool.wait_us")->count(), wait0);
+  EXPECT_EQ(reg.histogram("threadpool.queue_wait")->count(), wait0);
   EXPECT_EQ(reg.histogram("threadpool.run_us")->count(), run0);
 }
 

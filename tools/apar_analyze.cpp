@@ -198,8 +198,8 @@ analysis::Report analyze_sieve_tcp() {
 
 /// The TCP sieve weave as served by the event-driven reactor
 /// (TcpServer::Mode::kReactor): ReactorIngressAspect declares that every
-/// served method may be entered from a pool worker the reactor dispatched
-/// to — unconfined concurrency injected by the TRANSPORT, not by any
+/// served method may be entered from whichever server thread read the
+/// request — unconfined concurrency injected by the TRANSPORT, not by any
 /// client-side weave. The effects pass then demands a monitor covering
 /// every pair of served methods that race on declared state, which is why
 /// Conc guards take_results here (collect and take_results both write

@@ -2,9 +2,11 @@
 """Validate BENCH_net.json (produced by tools/run_bench.py --net).
 
 Structural checks always run: every scenario must carry the full latency
-summary with ordered percentiles and a sane request accounting, and a
+summary with ordered percentiles and a sane request accounting, a
+closed-loop row taken over several server starts must carry each start's
+throughput and p50 with quartiles that bracket its median, and a
 full-mode document's comparison block must carry both modes' closed-loop
-throughput and p50 at the same client count. With
+throughput and p50 at the same client count, with their quartiles. With
 --require-ratio R the acceptance gate is enforced too: the reactor
 scenario must serve at least R times thread-per-connection's sustainable
 connection count (its worker limit) at equal-or-better p99 under the same
@@ -51,6 +53,33 @@ def check_scenario(name, row):
         fail(f"scenario {name}: no requests recorded")
     if row["ok"] > 0 and row["throughput_rps"] <= 0:
         fail(f"scenario {name}: ok > 0 but throughput_rps <= 0")
+    if "starts" in row:
+        check_starts(name, row)
+
+
+def check_starts(name, row):
+    """A row that is the median of several server starts."""
+    starts = row["starts"]
+    if not isinstance(starts, int) or starts < 1:
+        fail(f"scenario {name}: starts = {starts!r}")
+    runs = row.get("runs")
+    if not isinstance(runs, list) or len(runs) != starts:
+        fail(f"scenario {name}: runs must list each of its {starts} starts")
+    for field, median in (("throughput_rps", row["throughput_rps"]),
+                          ("p50_us", row["latency_us"]["p50"])):
+        values = sorted(r.get(field) for r in runs)
+        if any(not isinstance(v, (int, float)) or v < 0 for v in values):
+            fail(f"scenario {name}: runs carry a bad {field}: {values!r}")
+        if values[(starts - 1) // 2] > median * 1.001 + 1e-9 or \
+                values[starts // 2] < median * 0.999 - 1e-9:
+            fail(f"scenario {name}: {field} {median} is not the median of "
+                 f"its starts {values!r}")
+        quart = row.get(f"{field}_quartiles")
+        if (not isinstance(quart, list) or len(quart) != 2 or
+                not values[0] <= quart[0] <= median * 1.001 + 1e-9 or
+                not median * 0.999 - 1e-9 <= quart[1] <= values[-1]):
+            fail(f"scenario {name}: {field}_quartiles {quart!r} do not "
+                 f"bracket the median {median} within {values!r}")
 
 
 CLOSED_LOOP_KEYS = ("thread_closed_rps", "thread_closed_p50_us",
@@ -80,6 +109,18 @@ def check_comparison(doc):
                 comparison[f"{mode}_closed_p50_us"]):
             fail(f"comparison: {mode} closed-loop fields disagree with "
                  f"scenario '{name}'")
+        if "starts" not in row:
+            fail(f"comparison: closed-loop scenario '{name}' is one run, "
+                 f"not the median of several server starts")
+        if comparison.get("closed_loop_starts") != row["starts"]:
+            fail(f"comparison: closed_loop_starts "
+                 f"{comparison.get('closed_loop_starts')!r} != "
+                 f"{row['starts']} starts of '{name}'")
+        for field, key in (("throughput_rps", "rps"), ("p50_us", "p50_us")):
+            if (comparison.get(f"{mode}_closed_{key}_quartiles") !=
+                    row[f"{field}_quartiles"]):
+                fail(f"comparison: {mode}_closed_{key}_quartiles disagree "
+                     f"with scenario '{name}'")
 
 
 def check_ratio(doc, require_ratio):

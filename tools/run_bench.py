@@ -24,6 +24,11 @@ Scenarios (full mode; --quick runs one small closed-loop round for CI):
                   (clients == workers): the baseline service latency.
   reactor_wW_cW   the same closed loop against Mode::kReactor: the two
                   modes' peak throughput and p50 side by side.
+                  Each closed-loop row is the median of --closed-starts
+                  server starts (default 5), alternating thread and
+                  reactor, with each start's numbers and the quartiles
+                  recorded beside it: one short run can land in either
+                  mode of a bimodal host.
   thread_wW_cN    open loop, N = 4x workers connections: thread-per-
                   connection past its worker limit (starved clients,
                   coordinated-omission-corrected percentiles).
@@ -94,6 +99,9 @@ def parse_args(argv):
                         help="[--net] open-loop aggregate requests/second")
     parser.add_argument("--measure-seconds", type=float, default=4.0,
                         help="[--net] open-loop measurement window")
+    parser.add_argument("--closed-starts", type=int, default=5,
+                        help="[--net] server starts per closed-loop row "
+                             "(median and quartiles are reported)")
     return parser.parse_args(argv)
 
 
@@ -262,15 +270,52 @@ def run_loadgen(build, port, label, extra):
 
 
 def build_type(build):
-    """CMAKE_BUILD_TYPE of a build directory ("" when unset)."""
-    try:
-        with open(os.path.join(build, "CMakeCache.txt")) as fh:
-            for line in fh:
-                if line.startswith("CMAKE_BUILD_TYPE:"):
-                    return line.split("=", 1)[1].strip()
-    except OSError:
-        pass
+    """CMAKE_BUILD_TYPE of a build directory ("" when unset). The cache may
+    sit one level up, as in perfbench's .bench_build/aspectpar."""
+    for where in (build, os.path.dirname(os.path.abspath(build))):
+        try:
+            with open(os.path.join(where, "CMakeCache.txt")) as fh:
+                for line in fh:
+                    if line.startswith("CMAKE_BUILD_TYPE:"):
+                        return line.split("=", 1)[1].strip()
+        except OSError:
+            continue
     return ""
+
+
+def quartiles(values):
+    """(q1, median, q3) of a list, inclusive method (actual samples for 5)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def median_row(label, runs):
+    """One closed-loop row from several server starts: request accounting
+    summed, throughput and every latency percentile the median over the
+    starts (medians of pointwise-ordered percentiles stay ordered), each
+    start's throughput and p50, and their quartiles."""
+    row = dict(runs[0])
+    row["label"] = label
+    for key in ("requests", "ok", "errors"):
+        row[key] = sum(r[key] for r in runs)
+    row["elapsed_s"] = statistics.median(r["elapsed_s"] for r in runs)
+    row["throughput_rps"] = statistics.median(r["throughput_rps"]
+                                              for r in runs)
+    row["latency_us"] = {
+        key: statistics.median(r["latency_us"][key] for r in runs)
+        for key in runs[0]["latency_us"]}
+    rps = [r["throughput_rps"] for r in runs]
+    p50 = [r["latency_us"]["p50"] for r in runs]
+    row["starts"] = len(runs)
+    row["runs"] = [{"throughput_rps": a, "p50_us": b}
+                   for a, b in zip(rps, p50)]
+    q1, _, q3 = quartiles(rps)
+    row["throughput_rps_quartiles"] = [q1, q3]
+    q1, _, q3 = quartiles(p50)
+    row["p50_us_quartiles"] = [q1, q3]
+    return row
 
 
 def run_net(args):
@@ -295,11 +340,16 @@ def run_net(args):
                          "--warmup-seconds", "1", "--timeout-ms", "1000"]
             closed_args = ["--mode", "closed", "--clients", str(workers),
                            "--requests", "2000", "--warmup", "200"]
-            for mode in ("thread", "reactor"):
+            closed_runs = {"thread": [], "reactor": []}
+            for _ in range(max(1, args.closed_starts)):
+                for mode in ("thread", "reactor"):
+                    name = f"{mode}_w{workers}_c{workers}"
+                    with NetServer(args.build, mode, workers) as server:
+                        closed_runs[mode].append(run_loadgen(
+                            args.build, server.port, name, closed_args))
+            for mode, runs in closed_runs.items():
                 name = f"{mode}_w{workers}_c{workers}"
-                with NetServer(args.build, mode, workers) as server:
-                    scenarios[name] = run_loadgen(
-                        args.build, server.port, name, closed_args)
+                scenarios[name] = median_row(name, runs)
             name = f"thread_w{workers}_c{connections}"
             with NetServer(args.build, "thread", workers) as server:
                 scenarios[name] = run_loadgen(args.build, server.port, name,
@@ -337,10 +387,19 @@ def run_net(args):
             "thread_errors": thread["errors"],
             "reactor_errors": reactor["errors"],
             "closed_loop_clients": workers,
+            "closed_loop_starts": thread_closed["starts"],
             "thread_closed_rps": thread_closed["throughput_rps"],
+            "thread_closed_rps_quartiles":
+                thread_closed["throughput_rps_quartiles"],
             "thread_closed_p50_us": thread_closed["latency_us"]["p50"],
+            "thread_closed_p50_us_quartiles":
+                thread_closed["p50_us_quartiles"],
             "reactor_closed_rps": reactor_closed["throughput_rps"],
+            "reactor_closed_rps_quartiles":
+                reactor_closed["throughput_rps_quartiles"],
             "reactor_closed_p50_us": reactor_closed["latency_us"]["p50"],
+            "reactor_closed_p50_us_quartiles":
+                reactor_closed["p50_us_quartiles"],
         }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -348,9 +407,14 @@ def run_net(args):
     print(f"wrote {args.out} ({len(scenarios)} scenarios)")
     for name, row in scenarios.items():
         lat = row["latency_us"]
+        spread = ""
+        if "starts" in row:
+            q = row["throughput_rps_quartiles"]
+            spread = (f" (median of {row['starts']} starts, rps quartiles "
+                      f"{q[0]:.0f}-{q[1]:.0f})")
         print(f"  {name}: {row['ok']}/{row['requests']} ok, "
               f"{row['throughput_rps']:.0f} rps, "
-              f"p50 {lat['p50']:.0f}us p99 {lat['p99']:.0f}us")
+              f"p50 {lat['p50']:.0f}us p99 {lat['p99']:.0f}us{spread}")
 
 
 # --- --adapt: phase-shifting autonomic workload ----------------------------

@@ -108,9 +108,8 @@ echo "net smoke clean: both formats + one distributed trace, two processes"
 # The reactor mode (docs/networking.md) must be wire-invisible: the
 # unmodified client runs the same weave against `--mode reactor` and the
 # distributed-trace gate must hold identically — server-side serve.*
-# spans parented into the client process even though requests now arrive
-# via the event loop and execute on whichever pool worker the reactor
-# dispatched to.
+# spans parented into the client process even though requests now run on
+# whichever reactor thread read them.
 TRACE_DIR="$(mktemp -d)"
 rm -f "$PORT_FILE"
 APAR_TRACE_OUT="$TRACE_DIR/server.json" APAR_METRICS=1 \

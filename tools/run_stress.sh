@@ -2,10 +2,10 @@
 # Run the stress suite (`ctest -L stress`) plus the cache suite (`-L
 # cache`) and the real-TCP transport suite (`-L net` — which includes
 # the event-driven reactor tests: pipelining, backpressure, slow-reader
-# eviction and mode-parity, all prime tsan material since the reactor
-# loop hands frames to pool workers, which share each connection's
-# writes with it; the stress label adds a seeded pipelining run against
-# those write paths)
+# eviction and mode-parity, all prime tsan material since the reactor's
+# threads pass each connection from one to the next while sweeps and the
+# drain read its state; the stress label adds seeded pipelining and
+# idle-sweep runs against that hand-off)
 # and the scheduler suite (`-L scheduler` — online pool resize racing
 # posts, steals and parallel_for; a retirement that loses or double-runs
 # a task trips tsan and the exactly-once asserts)
