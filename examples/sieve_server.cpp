@@ -12,9 +12,9 @@
 // --mode reactor serves every connection from --workers leader/followers
 // threads over one epoll set (src/net/reactor): the thread that reads a
 // request runs it and writes its reply, so the connection count is no
-// longer bounded by --workers; tools/loadgen measures the difference. Runs until SIGINT/SIGTERM or until
-// --run-seconds elapses (default 300, a leak guard for scripted runs),
-// then prints its traffic stats.
+// longer bounded by --workers; tools/loadgen measures the difference.
+// Runs until SIGINT/SIGTERM or until --run-seconds elapses (default 300,
+// a leak guard for scripted runs), then prints its traffic stats.
 #include <unistd.h>
 
 #include <atomic>

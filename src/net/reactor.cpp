@@ -1,7 +1,6 @@
 #include "apar/net/reactor.hpp"
 
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -33,7 +32,8 @@ using Clock = std::chrono::steady_clock;
 constexpr std::size_t kStageSize = 16 * 1024;
 
 /// Timeouts are checked at most this often; it is also the longest a
-/// thread waits on the set before it looks at the clock.
+/// thread waits on the set before it looks at the clock, and so how long
+/// stop() waits at most for the threads to see that they must exit.
 constexpr auto kSweepInterval = std::chrono::milliseconds(10);
 
 /// What a connection waits for once its owner is done with it.
@@ -97,7 +97,7 @@ bool has_input(int fd) {
 struct Reactor::Impl {
   Impl(Listener& l, Handler h, Options o, ServerStats& s)
       : listener(l), handler(std::move(h)), options(o), stats(s) {}
-  ~Impl() { close_fds(); }
+  ~Impl() { close_set(); }
 
   Listener& listener;
   Handler handler;
@@ -105,8 +105,7 @@ struct Reactor::Impl {
   ServerStats& stats;
   std::shared_ptr<obs::Histogram> queue_depth;  ///< records while metrics on
 
-  int ep = -1;    ///< the epoll set
-  int wake = -1;  ///< eventfd, readable once the threads must exit
+  int ep = -1;  ///< the epoll set
 
   common::Mutex table_mu;  ///< taken before any connection's mu
   std::unordered_map<Conn*, std::unique_ptr<Conn>> conns
@@ -120,10 +119,9 @@ struct Reactor::Impl {
   std::vector<std::thread> threads;
   std::once_flag stopped;
 
-  void close_fds() {
+  void close_set() {
     if (ep >= 0) ::close(ep);
-    if (wake >= 0) ::close(wake);
-    ep = wake = -1;
+    ep = -1;
   }
 
   bool arm(int op, int fd, std::uint32_t events, void* tag) const {
@@ -144,7 +142,7 @@ struct Reactor::Impl {
       if (exiting.load(std::memory_order_acquire)) return;
       if (n == 1 && ev.data.ptr == &listener) {
         accept_all();
-      } else if (n == 1 && ev.data.ptr != &wake) {
+      } else if (n == 1) {
         serve(*static_cast<Conn*>(ev.data.ptr), ev.events, stage);
       }
       maybe_sweep();
@@ -478,11 +476,8 @@ Reactor::Reactor(Listener& listener, std::size_t threads, Handler handler,
       });
 
   r.ep = ::epoll_create1(EPOLL_CLOEXEC);
-  r.wake = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (r.ep < 0 || r.wake < 0 ||
-      !r.arm(EPOLL_CTL_ADD, listener.fd(), EPOLLIN | EPOLLONESHOT,
-             &listener) ||
-      !r.arm(EPOLL_CTL_ADD, r.wake, EPOLLIN, &r.wake))
+  if (r.ep < 0 ||
+      !r.arm(EPOLL_CTL_ADD, listener.fd(), EPOLLIN | EPOLLONESHOT, &listener))
     throw NetError(NetError::Kind::kIo, "reactor: epoll set-up failed");
   try {
     for (std::size_t i = 0; i < std::max<std::size_t>(threads, 1); ++i)
@@ -505,12 +500,11 @@ void Reactor::stop() {
     r.shut_down(/*idle_only=*/false);
     r.wait_for_no_connections(Clock::time_point::max());
 
+    // Each thread sees this within one kSweepInterval.
     r.exiting.store(true, std::memory_order_release);
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(r.wake, &one, sizeof(one));
     for (std::thread& t : r.threads) t.join();
     r.threads.clear();
-    r.close_fds();
+    r.close_set();
   });
 }
 

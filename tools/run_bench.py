@@ -24,11 +24,11 @@ Scenarios (full mode; --quick runs one small closed-loop round for CI):
                   (clients == workers): the baseline service latency.
   reactor_wW_cW   the same closed loop against Mode::kReactor: the two
                   modes' peak throughput and p50 side by side.
-                  Each closed-loop row is the median of --closed-starts
-                  server starts (default 5), alternating thread and
-                  reactor, with each start's numbers and the quartiles
-                  recorded beside it: one short run can land in either
-                  mode of a bimodal host.
+                  Each closed-loop row is the median of 5 server starts
+                  (CLOSED_STARTS), alternating thread and reactor, with
+                  each start's numbers and the quartiles recorded beside
+                  it: one short run can land in either mode of a bimodal
+                  host.
   thread_wW_cN    open loop, N = 4x workers connections: thread-per-
                   connection past its worker limit (starved clients,
                   coordinated-omission-corrected percentiles).
@@ -65,6 +65,9 @@ import sys
 import tempfile
 import time
 
+# --net: server starts per closed-loop row; the row is their median.
+CLOSED_STARTS = 5
+
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__)
@@ -99,9 +102,6 @@ def parse_args(argv):
                         help="[--net] open-loop aggregate requests/second")
     parser.add_argument("--measure-seconds", type=float, default=4.0,
                         help="[--net] open-loop measurement window")
-    parser.add_argument("--closed-starts", type=int, default=5,
-                        help="[--net] server starts per closed-loop row "
-                             "(median and quartiles are reported)")
     return parser.parse_args(argv)
 
 
@@ -341,7 +341,7 @@ def run_net(args):
             closed_args = ["--mode", "closed", "--clients", str(workers),
                            "--requests", "2000", "--warmup", "200"]
             closed_runs = {"thread": [], "reactor": []}
-            for _ in range(max(1, args.closed_starts)):
+            for _ in range(CLOSED_STARTS):
                 for mode in ("thread", "reactor"):
                     name = f"{mode}_w{workers}_c{workers}"
                     with NetServer(args.build, mode, workers) as server:
