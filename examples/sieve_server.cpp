@@ -8,11 +8,11 @@
 //   ./examples/sieve_server --port-file /tmp/p   # for scripting (CI smoke)
 //
 // Options: --port P --port-file PATH --workers N --run-seconds S
-//          --mode thread|reactor --max-connections N
-// --mode reactor serves every connection from --workers leader/followers
-// threads over one epoll set (src/net/reactor): the thread that reads a
-// request runs it and writes its reply, so the connection count is no
-// longer bounded by --workers; tools/loadgen measures the difference.
+//          --max-connections N [--mode reactor]
+// Every connection is served from --workers leader/followers threads over
+// one epoll set (src/net/reactor): the thread that reads a request runs it
+// and writes its reply, so the connection count is not bounded by
+// --workers. --mode takes only "reactor", the one server there is.
 // Runs until SIGINT/SIGTERM or until --run-seconds elapses (default 300,
 // a leak guard for scripted runs), then prints its traffic stats.
 #include <unistd.h>
@@ -68,21 +68,17 @@ int main(int argc, char** argv) {
   opts.port = static_cast<std::uint16_t>(cli.get_int("port", 0));
   opts.workers = static_cast<std::size_t>(cli.get_int("workers", 4));
   opts.label = "sieve-server";
-  const std::string mode = cli.get("mode", "thread");
-  if (mode == "reactor") {
-    opts.mode = net::TcpServer::Mode::kReactor;
-    opts.reactor.max_connections =
-        static_cast<std::size_t>(cli.get_int("max-connections", 1024));
-  } else if (mode != "thread") {
+  opts.reactor.max_connections =
+      static_cast<std::size_t>(cli.get_int("max-connections", 1024));
+  if (const std::string mode = cli.get("mode", "reactor"); mode != "reactor") {
     std::fprintf(stderr, "sieve_server: unknown --mode %s\n", mode.c_str());
     return 2;
   }
   net::TcpServer server(registry, opts);
 
   std::printf(
-      "sieve_server: PrimeFilter hosted on 127.0.0.1:%u (%zu workers, "
-      "%s mode)\n",
-      server.port(), opts.workers, mode.c_str());
+      "sieve_server: PrimeFilter hosted on 127.0.0.1:%u (%zu workers)\n",
+      server.port(), opts.workers);
   std::fflush(stdout);
   if (!port_file.empty()) {
     if (std::FILE* f = std::fopen(port_file.c_str(), "w")) {

@@ -6,49 +6,6 @@
 
 namespace apar::concurrency {
 
-/// Reusable cyclic barrier for the Heartbeat strategy's iteration fences.
-///
-/// std::barrier requires the participant count at construction and is
-/// awkward to reuse across aspects that discover their worker count late;
-/// this barrier is a small, self-contained generation-counting variant.
-class CyclicBarrier {
- public:
-  explicit CyclicBarrier(std::size_t parties) : parties_(parties ? parties : 1) {}
-
-  CyclicBarrier(const CyclicBarrier&) = delete;
-  CyclicBarrier& operator=(const CyclicBarrier&) = delete;
-
-  /// Block until `parties` threads have arrived; returns the generation
-  /// index that just completed (0-based).
-  std::size_t arrive_and_wait() {
-    std::unique_lock lock(mutex_);
-    const std::size_t gen = generation_;
-    if (++arrived_ == parties_) {
-      arrived_ = 0;
-      ++generation_;
-      cv_.notify_all();
-      return gen;
-    }
-    cv_.wait(lock, [&] { return generation_ != gen; });
-    return gen;
-  }
-
-  [[nodiscard]] std::size_t parties() const { return parties_; }
-
-  /// Completed generations so far.
-  [[nodiscard]] std::size_t generation() const {
-    std::lock_guard lock(mutex_);
-    return generation_;
-  }
-
- private:
-  const std::size_t parties_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::size_t arrived_ = 0;
-  std::size_t generation_ = 0;
-};
-
 /// RAII permit against a counted limit; models the "only 4 hardware contexts
 /// on one node" constraint used to reproduce FarmThreads' plateau (Fig. 17).
 class ParallelismLimiter {

@@ -19,11 +19,11 @@ namespace apar::net {
 /// as net.server.<field>{server}; stats() and a kTelemetry scrape read the
 /// same counters. Byte counts include frame headers. A reply's frames_out
 /// is counted before any of its bytes can reach the peer, so a client that
-/// reads the stats after its reply sees it counted. The reactor-only fields
-/// (rejected: closed at accept, over max_connections; backpressure_pauses:
-/// replies left partly unsent, which stop reads until they flush;
-/// idle_closed; slow_closed: stalled-write evictions) stay 0 in thread
-/// mode. dispatch_errors counts requests answered kReplyError.
+/// reads the stats after its reply sees it counted. rejected: closed at
+/// accept, over max_connections; backpressure_pauses: replies left partly
+/// unsent, which stop reads until they flush; idle_closed; slow_closed:
+/// connections closed for a stalled write or a frame stalled mid-arrival;
+/// dispatch_errors: requests answered kReplyError.
 #define APAR_SERVER_STATS_FIELDS(X)                                        \
   X(accepted) X(rejected) X(frames_in) X(frames_out) X(bytes_in)           \
   X(bytes_out) X(protocol_errors) X(dispatch_errors) X(chaos_dropped)      \
@@ -32,8 +32,8 @@ APAR_OBS_COUNTER_SET(ServerStats, APAR_SERVER_STATS_FIELDS);
 
 /// What the dispatch handler decided about one request frame: either a
 /// reply to write back on the connection, or (chaos only) an instruction
-/// to close the connection without replying — the same "lost reply"
-/// semantics TcpServer's thread-per-connection mode implements.
+/// to close the connection without replying, so the client sees its reply
+/// lost.
 struct ReplyAction {
   bool drop = false;
   FrameHeader header;
@@ -56,6 +56,14 @@ struct ReplyAction {
 /// frames are served one at a time in arrival order, so its replies leave
 /// in request order with no reordering.
 ///
+/// Keeping. Once every frame it read is answered, the owner keeps the
+/// connection for up to 1 ms (kKeepWindow), polling that socket for the
+/// next request, and serves it without an epoll_wait wake-up or a re-arm.
+/// While no other thread waits on the set, one keeping thread watches the
+/// set in the same poll, and an event there ends its keep: it re-arms the
+/// connection and goes back to epoll_wait. A kept connection stays owned,
+/// so sweeps skip it; stop()'s drain ends every keep.
+///
 /// Backpressure. When a reply is only partly written, the owner keeps the
 /// unsent tail and the bytes it read after that frame, and re-arms the
 /// connection for EPOLLOUT instead of reading. Whoever gets that event
@@ -63,11 +71,13 @@ struct ReplyAction {
 /// before anything newer is read. A connection therefore has at most one
 /// request being served and one unsent reply tail.
 ///
-/// Sweeps. About every 10 ms (kSweepInterval) one waiting thread checks the
+/// Sweeps. About every 10 ms (kSweepInterval) one thread checks the
 /// connection table. A connection no thread owns is closed when its tail
-/// makes no progress for `write_stall_timeout` (slow-reader eviction) or
-/// when it has been quiet longer than `idle_timeout` with nothing unread;
-/// a connection whose request is being served is never closed by a sweep.
+/// makes no progress for `stall_timeout` (slow-reader eviction), when a
+/// frame began arriving longer than `stall_timeout` ago and is still
+/// incomplete, or when it has been quiet longer than `idle_timeout` with
+/// nothing unread; a connection being served or kept is never closed by a
+/// sweep.
 /// Accepts beyond `max_connections` are closed at once and counted as
 /// rejected.
 ///
@@ -82,8 +92,9 @@ class Reactor {
     std::size_t max_connections = 1024;
     /// Close connections with no traffic for this long (0 = never).
     std::chrono::milliseconds idle_timeout{0};
-    /// Evict a connection whose unsent reply makes no progress this long.
-    std::chrono::milliseconds write_stall_timeout{5000};
+    /// Close a connection whose unsent reply makes no progress this long,
+    /// or whose frame began arriving this long ago and is still incomplete.
+    std::chrono::milliseconds stall_timeout{5000};
     /// stop() grace: how long requests being served may take to finish
     /// and their replies to flush before every connection is shut down.
     std::chrono::milliseconds drain_timeout{2000};
@@ -134,7 +145,7 @@ class Reactor {
 /// mark_spawns_concurrency() (unconfined: server threads, not a
 /// target-confined helper thread), so a weave is only clean when some
 /// aspect's monitors still cover every racing effect pair — the
-/// composition gate for serving a weave behind Mode::kReactor.
+/// composition gate for serving a weave behind a TcpServer.
 template <class T>
 class ReactorIngressAspect : public aop::Aspect {
  public:

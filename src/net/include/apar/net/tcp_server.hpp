@@ -3,14 +3,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "apar/cluster/dispatcher.hpp"
 #include "apar/cluster/name_server.hpp"
 #include "apar/cluster/rpc.hpp"
-#include "apar/concurrency/thread_pool.hpp"
 #include "apar/net/frame.hpp"
 #include "apar/net/reactor.hpp"
 #include "apar/net/socket.hpp"
@@ -23,42 +21,19 @@ namespace apar::net {
 /// request does exactly the same thing whether it arrived on a simulated
 /// mailbox or a socket.
 ///
-/// Two serving modes share one request path (process_request), so the
-/// wire protocol — framing, trace trailers, kTelemetry, chaos knobs — is
-/// byte-identical in both:
-///
-///   kThreadPerConnection (the paper's scale, the baseline): one acceptor
-///   thread plus a ThreadPool of `workers` connection handlers. A
-///   connection occupies a worker until the client disconnects, so at
-///   most `workers` clients are served concurrently; additional
-///   connections queue in the pool.
-///
-///   kReactor (the C10K answer): `workers` leader/followers threads share
-///   one epoll set (src/net/reactor); the thread that reads a request
-///   runs it and writes its reply, so `workers` bounds CPU concurrency
-///   while the connection count is bounded only by
-///   Options::reactor.max_connections. Adds write backpressure, idle
-///   timeouts, slow-reader eviction, connection limits and graceful
-///   drain. docs/networking.md has the architecture; tools/loadgen
-///   measures the difference.
+/// `workers` leader/followers threads share one epoll set (net::Reactor):
+/// the thread that reads a request runs it and writes its reply, so
+/// `workers` bounds CPU concurrency while the connection count is bounded
+/// only by Options::reactor.max_connections. Every request goes through
+/// process_request (framing, trace trailers, kTelemetry, chaos knobs).
+/// docs/networking.md has the architecture; tools/loadgen measures it.
 class TcpServer {
  public:
-  enum class Mode {
-    kThreadPerConnection,
-    kReactor,
-  };
-
   struct Options {
-    std::uint16_t port = 0;      ///< 0 = pick an ephemeral port
-    std::size_t workers = 4;     ///< handler threads (see Mode)
-    Mode mode = Mode::kThreadPerConnection;
-    /// Reactor-mode limits and timeouts; ignored in thread mode.
+    std::uint16_t port = 0;   ///< 0 = pick an ephemeral port
+    std::size_t workers = 4;  ///< serving threads (at least one)
+    /// Connection limits and timeouts.
     Reactor::Options reactor;
-    /// Per-frame I/O deadline once a frame has started arriving. Idle
-    /// time between frames is unlimited (a quiet client is not an error).
-    /// Thread mode only; the reactor's state machines never block, so
-    /// its equivalents are reactor.idle_timeout/write_stall_timeout.
-    std::chrono::milliseconds io_deadline{5000};
     /// Dispatcher error-message prefix; default "tcp:<port>".
     std::string label;
 
@@ -89,34 +64,22 @@ class TcpServer {
   [[nodiscard]] cluster::Dispatcher& dispatcher() { return dispatcher_; }
   [[nodiscard]] cluster::NameServer& name_server() { return name_server_; }
   [[nodiscard]] Stats stats() const;
-  /// Live connection count; only meaningful in reactor mode (0 in thread
-  /// mode, which does not track it, and after stop()).
+  /// Live connection count (0 after stop()).
   [[nodiscard]] std::size_t open_connections() const;
 
-  /// Stop accepting and shut down. Thread mode closes the listener and
-  /// joins the handlers; reactor mode drains gracefully first (requests
-  /// being served finish and their replies flush; at
-  /// Options::reactor.drain_timeout every connection is shut down, and
-  /// stop() waits for handlers still running). Every descriptor the server
-  /// opened is closed when it returns. Idempotent; the destructor calls it.
+  /// Drain and shut down: stop accepting, let requests being served finish
+  /// and their replies flush, and at Options::reactor.drain_timeout shut
+  /// every connection down (stop() still waits for handlers running then).
+  /// Every descriptor the server opened is closed when it returns.
+  /// Idempotent; the destructor calls it.
   void stop();
 
  private:
-  void accept_loop();
-  void serve_connection(Socket socket);
-  /// The mode-independent request path: chaos drop/stall decisions,
-  /// serve-span tracing, dispatch, telemetry — everything between a
-  /// decoded request frame and its encoded reply. Called from a
-  /// connection handler (thread mode) or the reactor thread that read
-  /// the frame (reactor mode).
+  /// The request path: chaos drop/stall decisions, serve-span tracing,
+  /// dispatch, telemetry — everything between a decoded request frame and
+  /// its encoded reply. Runs on the reactor thread that read the frame.
   ReplyAction process_request(const FrameHeader& header,
                               std::vector<std::byte> payload);
-  /// Handle one request frame; returns false when the connection must
-  /// close (chaos drop).
-  bool handle_frame(Socket& socket, const FrameHeader& header,
-                    std::vector<std::byte> payload);
-  void send_frame(Socket& socket, FrameHeader header,
-                  const std::vector<std::byte>& payload);
   /// kTelemetry reply body: node identity, every server counter, and the
   /// global metrics-registry JSON; tflags bit 0 adds the tagged trace
   /// buffer, bit 1 flushes (drains) it in the same exchange.
@@ -134,12 +97,9 @@ class TcpServer {
 
   ServerStats stats_;
 
-  // Last members: workers_, acceptor_ and reactor_ run code touching
-  // everything above, so they must be destroyed (joined) first. stop()
-  // tears them down in the safe order (listener closed last).
-  std::unique_ptr<concurrency::ThreadPool> workers_;  ///< thread mode only
-  std::thread acceptor_;
-  std::unique_ptr<Reactor> reactor_;
+  // Last member: its threads run code touching everything above, so it
+  // must be stopped (joined) first.
+  Reactor reactor_;
 };
 
 }  // namespace apar::net

@@ -1,7 +1,9 @@
 #include "apar/net/reactor.hpp"
 
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/timerfd.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -11,6 +13,7 @@
 #include <cerrno>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -36,6 +39,10 @@ constexpr std::size_t kStageSize = 16 * 1024;
 /// stop() waits at most for the threads to see that they must exit.
 constexpr auto kSweepInterval = std::chrono::milliseconds(10);
 
+/// How long the thread that wrote a reply waits on that connection alone for
+/// its next request before handing it back to the set (see keep()).
+constexpr auto kKeepWindow = std::chrono::milliseconds(1);
+
 /// What a connection waits for once its owner is done with it.
 enum class Next { kRead, kFlush, kClose };
 
@@ -59,13 +66,19 @@ struct Conn {
   FrameHeader header;
   std::vector<std::byte> payload;
   std::size_t payload_got = 0;
+  /// A frame's first bytes arrived since the last hand-back.
+  bool frame_started = false;
   /// Bytes read after a frame whose reply is still partly unsent; served
   /// once that tail flushes, before anything read later.
   std::vector<std::byte> held;
 
+  [[nodiscard]] bool between_frames() const {
+    return !have_header && header_got == 0;
+  }
+
   // --- shared with sweeps and stop() --------------------------------------
   common::Mutex mu;
-  bool busy APAR_GUARDED_BY(mu) = false;  ///< a thread owns the event
+  bool busy APAR_GUARDED_BY(mu) = false;  ///< a thread serves or keeps it
   /// Shut down by a sweep or stop(), or being closed by its owner.
   bool closing APAR_GUARDED_BY(mu) = false;
   /// The unsent tail of the last reply, from `out_off` on.
@@ -73,6 +86,9 @@ struct Conn {
   std::size_t out_off APAR_GUARDED_BY(mu) = 0;
   Clock::time_point last_active APAR_GUARDED_BY(mu);  ///< last hand-back
   Clock::time_point last_write_progress APAR_GUARDED_BY(mu);
+  /// When the frame being assembled began arriving (stamped at the
+  /// hand-back after its first bytes); empty between frames.
+  std::optional<Clock::time_point> frame_began APAR_GUARDED_BY(mu);
 
   [[nodiscard]] bool tail_pending() const APAR_REQUIRES(mu) {
     return out_off < outbuf.size();
@@ -83,6 +99,32 @@ struct Conn {
     closing = true;
     ::shutdown(socket.fd(), SHUT_RDWR);
   }
+};
+
+/// A serving thread's keep timer (see keep()): one timerfd, armed to fire
+/// once, closed with the thread.
+class KeepTimer {
+ public:
+  KeepTimer() = default;
+  ~KeepTimer() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  KeepTimer(const KeepTimer&) = delete;
+  KeepTimer& operator=(const KeepTimer&) = delete;
+
+  [[nodiscard]] int fd() const { return fd_; }
+  /// Fire once, `after` from now; re-arming also clears an expiry.
+  void fire_in(Clock::duration after) const {
+    const auto ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(after).count();
+    itimerspec spec{};
+    spec.it_value.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
+    spec.it_value.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+    ::timerfd_settime(fd_, 0, &spec, nullptr);
+  }
+
+ private:
+  int fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK);
 };
 
 bool has_input(int fd) {
@@ -112,6 +154,8 @@ struct Reactor::Impl {
       APAR_GUARDED_BY(table_mu);
   std::atomic<bool> draining{false};
   std::atomic<bool> exiting{false};
+  /// Threads waiting on the set: in epoll_wait, or watching it in keep().
+  std::atomic<std::size_t> waiting{0};
   std::atomic<Clock::rep> next_sweep{0};
   std::atomic<std::size_t> open_count{0};
   obs::Export open_export;
@@ -135,17 +179,20 @@ struct Reactor::Impl {
 
   void run() {
     std::vector<std::byte> stage(kStageSize);
+    const KeepTimer timer;
     for (;;) {
       epoll_event ev{};
+      waiting.fetch_add(1, std::memory_order_relaxed);
       const int n = ::epoll_wait(ep, &ev, 1,
                                  static_cast<int>(kSweepInterval.count()));
+      waiting.fetch_sub(1, std::memory_order_relaxed);
       if (exiting.load(std::memory_order_acquire)) return;
       if (n == 1 && ev.data.ptr == &listener) {
         accept_all();
       } else if (n == 1) {
-        serve(*static_cast<Conn*>(ev.data.ptr), ev.events, stage);
+        serve(*static_cast<Conn*>(ev.data.ptr), ev.events, stage, timer);
       }
-      maybe_sweep();
+      maybe_sweep(Clock::now());
     }
   }
 
@@ -185,8 +232,10 @@ struct Reactor::Impl {
   }
 
   /// The owner's whole turn: take the connection, read and serve (or
-  /// flush its tail and serve what was held behind it), and hand it back.
-  void serve(Conn& conn, std::uint32_t events, std::vector<std::byte>& stage) {
+  /// flush its tail and serve what was held behind it), keep it while its
+  /// next requests follow their replies closely, and hand it back.
+  void serve(Conn& conn, std::uint32_t events, std::vector<std::byte>& stage,
+             const KeepTimer& timer) {
     Next next = Next::kClose;
     {
       common::MutexLock lock(conn.mu);
@@ -200,7 +249,57 @@ struct Reactor::Impl {
     } else if (next == Next::kRead) {
       next = read(conn, stage);
     }
+    bool keeping = false;
+    while (next == Next::kRead && conn.between_frames() &&
+           keep(conn, timer, keeping))
+      next = read(conn, stage);
     if (!hand_back(conn, next)) close_conn(conn);
+  }
+
+  /// With every frame read so far answered, wait up to kKeepWindow on the
+  /// connection alone for its next request: a client that calls again at
+  /// once is served without an epoll_wait wake-up and a re-arm. True once
+  /// the connection is readable.
+  ///
+  /// While no other thread waits on the set, this one watches it too, and
+  /// an event there ends the keep, so that event waits no longer than it
+  /// would for a handler to return. One watcher is enough: each further
+  /// one would wake for the same event and take the set's lock on every
+  /// poll. The window runs on the thread's timer, started with the first
+  /// keep of a turn and moved on only when it fires; a poll timeout would
+  /// arm and cancel a kernel timer around every request.
+  bool keep(Conn& conn, const KeepTimer& timer, bool& keeping) {
+    const auto now = Clock::now();
+    maybe_sweep(now);
+    if (timer.fd() < 0 || draining.load(std::memory_order_acquire))
+      return false;
+    const auto until = now + kKeepWindow;
+    if (!std::exchange(keeping, true)) timer.fire_in(kKeepWindow);
+    std::size_t none = 0;
+    const bool watch =
+        waiting.compare_exchange_strong(none, 1, std::memory_order_relaxed);
+    pollfd fds[3] = {{conn.socket.fd(), POLLIN, 0},
+                     {timer.fd(), POLLIN, 0},
+                     {ep, POLLIN, 0}};
+    bool readable = false;
+    for (;;) {
+      if (::poll(fds, watch ? 3 : 2, -1) < 0) {
+        if (errno == EINTR) continue;
+        break;
+      }
+      if (fds[2].revents != 0) break;  // an event on the set
+      if (fds[0].revents != 0) {
+        readable = true;
+        break;
+      }
+      // The timer fired: the window ends, or it moves on to this keep's
+      // deadline.
+      const auto left = until - Clock::now();
+      if (left <= Clock::duration::zero()) break;
+      timer.fire_in(left);
+    }
+    if (watch) waiting.fetch_sub(1, std::memory_order_relaxed);
+    return readable;
   }
 
   /// One recv at a time into the staging buffer, or straight into a large
@@ -251,6 +350,7 @@ struct Reactor::Impl {
       if (size == 0) return Next::kRead;
       std::size_t take = 0;
       if (!conn.have_header) {
+        if (conn.header_got == 0) conn.frame_started = true;
         take = std::min(size, FrameHeader::kSize - conn.header_got);
         std::memcpy(conn.header_buf.data() + conn.header_got, data, take);
         conn.header_got += take;
@@ -378,8 +478,14 @@ struct Reactor::Impl {
   /// or has nothing left to send while the reactor drains.
   bool hand_back(Conn& conn, Next next) {
     const auto now = Clock::now();
+    const bool started = std::exchange(conn.frame_started, false);
     common::MutexLock lock(conn.mu);
     conn.busy = false;
+    if (conn.between_frames()) {
+      conn.frame_began.reset();
+    } else if (started) {
+      conn.frame_began = now;
+    }
     if (next != Next::kClose && !conn.closing &&
         (next == Next::kFlush || !draining.load(std::memory_order_acquire))) {
       conn.last_active = now;
@@ -406,10 +512,9 @@ struct Reactor::Impl {
 
   // --- sweeps and drain --------------------------------------------------
 
-  /// One thread per kSweepInterval closes stalled writers and idle
-  /// connections that no thread owns.
-  void maybe_sweep() {
-    const auto now = Clock::now();
+  /// One thread per kSweepInterval closes stalled writers, stalled senders
+  /// and idle connections that no thread owns.
+  void maybe_sweep(Clock::time_point now) {
     Clock::rep due = next_sweep.load(std::memory_order_relaxed);
     if (now.time_since_epoch().count() < due ||
         !next_sweep.compare_exchange_strong(
@@ -422,10 +527,14 @@ struct Reactor::Impl {
       common::MutexLock lock(conn.mu);
       if (conn.busy || conn.closing) continue;
       if (conn.tail_pending()) {
-        if (now - conn.last_write_progress <= options.write_stall_timeout)
-          continue;
+        if (now - conn.last_write_progress <= options.stall_timeout) continue;
         stats.slow_closed.add();
         APAR_DEBUG("net") << "reactor: evicting slow reader fd="
+                          << conn.socket.fd();
+      } else if (conn.frame_began &&
+                 now - *conn.frame_began > options.stall_timeout) {
+        stats.slow_closed.add();
+        APAR_DEBUG("net") << "reactor: closing stalled sender fd="
                           << conn.socket.fd();
       } else {
         if (options.idle_timeout.count() == 0 ||

@@ -1,10 +1,10 @@
 #include "apar/net/tcp_server.hpp"
 
-#include <poll.h>
 #include <unistd.h>
 
 #include <optional>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -34,110 +34,30 @@ TcpServer::TcpServer(const cluster::rpc::Registry& registry, Options options)
       listener_(options_.port),
       dispatcher_(registry, options_.label.empty()
                                 ? "tcp:" + std::to_string(listener_.port())
-                                : options_.label) {
-  if (options_.workers == 0) options_.workers = 1;
+                                : options_.label),
+      reactor_(
+          listener_, options_.workers,
+          [this](const FrameHeader& header, std::vector<std::byte> payload) {
+            return process_request(header, std::move(payload));
+          },
+          options_.reactor, stats_, dispatcher_.label()) {
   stats_.export_as("net.server", {{"server", dispatcher_.label()}});
-  if (options_.mode == Mode::kReactor) {
-    reactor_ = std::make_unique<Reactor>(
-        listener_, options_.workers,
-        [this](const FrameHeader& header, std::vector<std::byte> payload) {
-          return process_request(header, std::move(payload));
-        },
-        options_.reactor, stats_, dispatcher_.label());
-  } else {
-    workers_ = std::make_unique<concurrency::ThreadPool>(options_.workers);
-    acceptor_ = std::thread([this] { accept_loop(); });
-  }
 }
 
 TcpServer::~TcpServer() { stop(); }
 
 void TcpServer::stop() {
   if (stopped_.exchange(true)) return;
-  if (reactor_) {
-    // Reactor::stop() returns once every handler has returned and every
-    // descriptor the reactor opened is closed; the listener closes last.
-    reactor_->stop();
-    reactor_.reset();
-    listener_.close();
-    return;
-  }
-  // The acceptor polls in 100ms chunks and re-checks stopped_, so it can
-  // be joined without touching the listener; closing the fd only after
-  // the join keeps it single-threaded (closing it out from under the
-  // poll is a data race).
-  if (acceptor_.joinable()) acceptor_.join();
+  // Reactor::stop() returns once every handler has returned and every
+  // descriptor the reactor opened is closed; the listener closes last.
+  reactor_.stop();
   listener_.close();
-  workers_.reset();  // drains queued connections (they exit on stopped_)
 }
 
 TcpServer::Stats TcpServer::stats() const { return stats_.snapshot(); }
 
 std::size_t TcpServer::open_connections() const {
-  return reactor_ ? reactor_->open_connections() : 0;
-}
-
-void TcpServer::accept_loop() {
-  while (!stopped_.load(std::memory_order_relaxed)) {
-    Socket client = listener_.accept(std::chrono::milliseconds(100));
-    if (!client.valid()) continue;
-    stats_.accepted.add();
-    auto shared = std::make_shared<Socket>(std::move(client));
-    try {
-      workers_->post([this, shared] {
-        serve_connection(std::move(*shared));
-      });
-    } catch (...) {
-      // Pool shutting down: the accepted connection just closes.
-    }
-  }
-}
-
-void TcpServer::serve_connection(Socket socket) {
-  std::array<std::byte, FrameHeader::kSize> header_bytes;
-  while (!stopped_.load(std::memory_order_relaxed)) {
-    // Idle wait between frames: unbounded, but chunked so stop() is
-    // honoured promptly.
-    pollfd pfd{socket.fd(), POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 100);
-    if (rc < 0) return;
-    if (rc == 0) continue;
-
-    try {
-      const Deadline deadline = deadline_after(options_.io_deadline);
-      recv_exact(socket, header_bytes.data(), header_bytes.size(), deadline);
-      const FrameHeader header =
-          decode_header(header_bytes.data(), header_bytes.size());
-      // Commit payload memory as its bytes arrive, not as announced.
-      std::vector<std::byte> payload;
-      while (payload.size() < header.payload_len) {
-        const std::size_t at = payload.size();
-        payload.resize(at + payload_chunk(at, header.payload_len));
-        recv_exact(socket, payload.data() + at, payload.size() - at,
-                   deadline);
-      }
-      stats_.frames_in.add();
-      stats_.bytes_in.add(FrameHeader::kSize + payload.size());
-      if (!handle_frame(socket, header, std::move(payload))) return;
-    } catch (const NetError& e) {
-      // kClosed on the header boundary is a normal disconnect; anything
-      // else means the stream cannot be trusted — drop the connection
-      // (frame sync is lost, there is no way to answer reliably).
-      if (e.kind() == NetError::Kind::kProtocol)
-        stats_.protocol_errors.add();
-      return;
-    } catch (...) {
-      return;
-    }
-  }
-}
-
-bool TcpServer::handle_frame(Socket& socket, const FrameHeader& header,
-                             std::vector<std::byte> payload) {
-  ReplyAction action = process_request(header, std::move(payload));
-  if (action.drop) return false;  // chaos: close without replying
-  send_frame(socket, action.header, action.payload);
-  return true;
+  return reactor_.open_connections();
 }
 
 ReplyAction TcpServer::process_request(const FrameHeader& header,
@@ -293,18 +213,6 @@ std::string TcpServer::telemetry_json(std::uint8_t tflags) const {
   }
   os << "}";
   return os.str();
-}
-
-void TcpServer::send_frame(Socket& socket, FrameHeader header,
-                           const std::vector<std::byte>& payload) {
-  header.payload_len = static_cast<std::uint32_t>(payload.size());
-  const auto bytes = encode_header(header);
-  // Counted before any byte can reach the peer, so a client that reads the
-  // server's stats after its reply sees the reply counted.
-  stats_.frames_out.add();
-  send_all(socket, bytes.data(), bytes.size(), payload.data(), payload.size(),
-           deadline_after(options_.io_deadline));
-  stats_.bytes_out.add(bytes.size() + payload.size());
 }
 
 }  // namespace apar::net

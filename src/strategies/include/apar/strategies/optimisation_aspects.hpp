@@ -15,8 +15,8 @@
 #include "apar/aop/aop.hpp"
 #include "apar/cache/cache_aspect.hpp"
 #include "apar/cluster/rpc.hpp"
-#include "apar/concurrency/barrier.hpp"
 #include "apar/concurrency/future.hpp"
+#include "apar/concurrency/parallelism_limiter.hpp"
 #include "apar/strategies/concurrency_aspect.hpp"
 
 namespace apar::strategies::optimisation {

@@ -214,7 +214,7 @@ TEST(Ref, InvalidRefBehaviour) {
   EXPECT_FALSE(r.is_local());
   EXPECT_FALSE(r.is_remote());
   EXPECT_EQ(r.local(), nullptr);
-  EXPECT_THROW(r.local_or_throw(), aop::NotLocalError);
+  EXPECT_THROW((void)r.local_or_throw(), aop::NotLocalError);
   EXPECT_EQ(r.describe(), "<null ref>");
 }
 

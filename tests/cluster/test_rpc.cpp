@@ -84,14 +84,14 @@ TEST_P(RpcRegistry, StringArgsAndResult) {
 
 TEST(RpcRegistryErrors, UnknownClassThrows) {
   rpc::Registry registry;
-  EXPECT_THROW(registry.find("Nope"), rpc::RpcError);
+  EXPECT_THROW((void)registry.find("Nope"), rpc::RpcError);
   EXPECT_FALSE(registry.contains("Nope"));
 }
 
 TEST(RpcRegistryErrors, UnknownMethodThrows) {
   rpc::Registry registry;
   register_counter(registry);
-  EXPECT_THROW(registry.find("Counter").method("nope"), rpc::RpcError);
+  EXPECT_THROW((void)registry.find("Counter").method("nope"), rpc::RpcError);
 }
 
 TEST(RpcRegistryErrors, MalformedArgsThrow) {

@@ -44,15 +44,14 @@ TEST(ConnectionPoolRestart, EvictsStaleSiblingsAfterServerRestart) {
   for (auto& s : stale) mw.pool().give_back(ep, std::move(s));
   ASSERT_EQ(mw.pool().idle_count(ep), 3u);
 
-  // The restart: the old listener goes away and a real reactor-mode
-  // server comes up on the SAME port. The held old-era sockets stay open,
+  // The restart: the old listener goes away and a real server comes up
+  // on the SAME port. The held old-era sockets stay open,
   // so every pooled connection still looks healthy to the poll validator.
   fake->close();
   ac::rpc::Registry registry;
   apar::test::register_counter(registry);
   net::TcpServer::Options sopts;
   sopts.port = port;
-  sopts.mode = net::TcpServer::Mode::kReactor;
   net::TcpServer server(registry, sopts);
 
   // First call rides a stale connection: the dead era never answers and

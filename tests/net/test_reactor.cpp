@@ -1,15 +1,17 @@
-// Event-driven server mode (src/net/reactor): protocol equivalence with
-// thread-per-connection, incremental decode (1-byte trickle), pipelined
-// ordering, backpressure, slow-reader eviction, connection limits, idle
-// timeouts, graceful drain, chaos composition, and the leader/followers
-// contract: a blocked handler holds up only its own connection, one
-// connection's requests are served one at a time, and a sweep never closes
-// a connection whose request is being served.
+// The server (src/net/reactor): protocol equivalence with golden replies
+// from the retired thread-per-connection server, incremental decode (1-byte
+// trickle), pipelined ordering, backpressure, slow-reader eviction, stalled
+// senders, connection limits, idle timeouts, graceful drain, chaos
+// composition, and the leader/followers contract: a blocked handler holds
+// up only its own connection, one connection's requests are served one at
+// a time, a sweep never closes a connection whose request is being served,
+// and a thread keeping the connection it just served yields to the others.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -88,15 +90,9 @@ class Blob {
   }
 };
 
-net::TcpServer::Options reactor_options() {
-  net::TcpServer::Options opts;
-  opts.mode = net::TcpServer::Mode::kReactor;
-  return opts;
-}
-
 /// Rig with the reactor-specific classes registered alongside Counter.
 struct ReactorRig {
-  explicit ReactorRig(net::TcpServer::Options opts = reactor_options()) {
+  explicit ReactorRig(net::TcpServer::Options opts = {}) {
     apar::test::register_counter(registry);
     registry.bind<Sleeper>("Sleeper").ctor<>().method<&Sleeper::nap>("nap");
     registry.bind<Serial>("Serial").ctor<>().method<&Serial::step>("step");
@@ -216,49 +212,43 @@ TEST(ReactorBackends, RoundTripCreateInvokeLookupTelemetry) {
   EXPECT_EQ(stats.protocol_errors, 0u);
 }
 
-// --- mode parity ------------------------------------------------------------
+// --- parity with the retired server ------------------------------------------
 
 TEST(Reactor, ServesIdenticalBytesToThreadPerConnection) {
   APAR_REQUIRE_LOOPBACK();
-  // Same dispatcher label on both sides so error strings (which embed it)
-  // compare byte-for-byte too.
-  net::TcpServer::Options thread_opts;
-  thread_opts.label = "parity";
-  auto reactor_opts = reactor_options();
-  reactor_opts.label = "parity";
+  // What the thread-per-connection server replied to the same calls, in
+  // the compact format, before it was retired.
+  const std::vector<std::string> golden{
+      std::string("\x2a\0\0\0\0\0\0\0", 8),      // get: 42
+      "\x07reactor\x0dhello reactor",          // greet: argument, result
+      "\x03" + std::string(24, '\0'),          // absorb: the zeroed pack
+      "unknown method 'no_such_method' on class 'Counter'"};
 
-  apar::test::TcpRig baseline(as::Format::kCompact, thread_opts);
-  apar::test::TcpRig reactor(as::Format::kCompact, reactor_opts);
-
-  auto run = [](apar::test::TcpRig& rig) {
-    auto& mw = *rig.middleware;
-    std::vector<std::vector<std::byte>> replies;
-    const auto handle =
-        mw.create(0, "Counter", as::encode(mw.wire_format(), 10LL));
-    mw.invoke(handle, "add", as::encode(mw.wire_format(), 32LL));
-    replies.push_back(mw.invoke(handle, "get", as::encode(mw.wire_format())));
-    replies.push_back(mw.invoke(handle, "greet",
-                                as::encode(mw.wire_format(),
-                                           std::string("reactor"))));
-    std::vector<long long> pack{1, 2, 3};
-    replies.push_back(mw.invoke(handle, "absorb",
-                                as::encode(mw.wire_format(), pack)));
-    try {
-      mw.invoke(handle, "no_such_method", as::encode(mw.wire_format()));
-    } catch (const ac::rpc::RpcError& e) {
-      const std::string what = e.what();
-      replies.emplace_back();
-      for (const char c : what)
-        replies.back().push_back(static_cast<std::byte>(c));
-    }
-    return replies;
+  net::TcpServer::Options opts;
+  opts.label = "parity";
+  apar::test::TcpRig rig(as::Format::kCompact, opts);
+  auto& mw = *rig.middleware;
+  auto text = [](const std::vector<std::byte>& bytes) {
+    return std::string(reinterpret_cast<const char*>(bytes.data()),
+                       bytes.size());
   };
-
-  const auto a = run(baseline);
-  const auto b = run(reactor);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_EQ(a[i], b[i]) << "reply " << i << " differs between modes";
+  std::vector<std::string> replies;
+  const auto handle =
+      mw.create(0, "Counter", as::encode(mw.wire_format(), 10LL));
+  mw.invoke(handle, "add", as::encode(mw.wire_format(), 32LL));
+  replies.push_back(
+      text(mw.invoke(handle, "get", as::encode(mw.wire_format()))));
+  replies.push_back(text(mw.invoke(
+      handle, "greet", as::encode(mw.wire_format(), std::string("reactor")))));
+  std::vector<long long> pack{1, 2, 3};
+  replies.push_back(text(
+      mw.invoke(handle, "absorb", as::encode(mw.wire_format(), pack))));
+  try {
+    mw.invoke(handle, "no_such_method", as::encode(mw.wire_format()));
+  } catch (const ac::rpc::RpcError& e) {
+    replies.emplace_back(e.what());
+  }
+  EXPECT_EQ(replies, golden);
 }
 
 // --- incremental decode -----------------------------------------------------
@@ -286,7 +276,7 @@ TEST(Reactor, DecodesOneByteTrickle) {
 
 TEST(Reactor, PipelinedRepliesKeepRequestOrder) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.workers = 4;  // plenty of room for out-of-order completion
   ReactorRig rig(opts);
   auto& mw = *rig.middleware;
@@ -326,7 +316,7 @@ TEST(Reactor, PipelinedRepliesKeepRequestOrder) {
 
 TEST(Reactor, PartialDirectWriteKeepsItsPlaceInLine) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.reactor.sndbuf_bytes = 4 * 1024;
   ReactorRig rig(opts);
   auto& mw = *rig.middleware;
@@ -365,7 +355,7 @@ TEST(Reactor, PartialDirectWriteKeepsItsPlaceInLine) {
 
 TEST(Reactor, OutboundQueueCapPausesReads) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.reactor.sndbuf_bytes = 8 * 1024;
   ReactorRig rig(opts);
   auto& mw = *rig.middleware;
@@ -403,9 +393,9 @@ TEST(Reactor, OutboundQueueCapPausesReads) {
 
 TEST(Reactor, EvictsSlowReader) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.reactor.sndbuf_bytes = 8 * 1024;
-  opts.reactor.write_stall_timeout = std::chrono::milliseconds(300);
+  opts.reactor.stall_timeout = std::chrono::milliseconds(300);
   ReactorRig rig(opts);
   auto& mw = *rig.middleware;
   const auto blob = mw.create(0, "Blob", as::encode(mw.wire_format()));
@@ -429,7 +419,7 @@ TEST(Reactor, EvictsSlowReader) {
 
 TEST(Reactor, RejectsConnectionsOverTheLimit) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.reactor.max_connections = 2;
   ReactorRig rig(opts);
 
@@ -458,7 +448,7 @@ TEST(Reactor, RejectsConnectionsOverTheLimit) {
 
 TEST(Reactor, ClosesIdleConnections) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.reactor.idle_timeout = std::chrono::milliseconds(150);
   ReactorRig rig(opts);
 
@@ -476,6 +466,45 @@ TEST(Reactor, ClosesIdleConnections) {
                       net::deadline_after(std::chrono::milliseconds(3000))),
       net::NetError);
   EXPECT_GE(rig.server->stats().idle_closed, 1u);
+}
+
+TEST(Reactor, ClosesPeerStalledMidFrame) {
+  APAR_REQUIRE_LOOPBACK();
+  net::TcpServer::Options opts;
+  opts.reactor.stall_timeout = std::chrono::milliseconds(200);
+  ReactorRig rig(opts);
+  const auto deadline = net::deadline_after(std::chrono::milliseconds(5000));
+
+  // A peer that goes quiet between frames...
+  net::Socket quiet = net::dial(rig.endpoint(), deadline);
+  const auto first = telemetry_frame(1);
+  net::send_all(quiet, first.data(), first.size(), deadline);
+  EXPECT_EQ(recv_reply(quiet, deadline).header.op,
+            net::FrameHeader::Op::kReplyOk);
+
+  // ...and one that sends half a header and goes quiet mid-frame.
+  net::Socket stalled = net::dial(rig.endpoint(), deadline);
+  const auto started = std::chrono::steady_clock::now();
+  net::send_all(stalled, first.data(), net::FrameHeader::kSize / 2, deadline);
+  std::array<std::byte, 1> byte;
+  try {
+    net::recv_exact(stalled, byte.data(), 1,
+                    net::deadline_after(std::chrono::milliseconds(3000)));
+    ADD_FAILURE() << "the stalled peer was sent a byte";
+  } catch (const net::NetError& e) {
+    EXPECT_EQ(e.kind(), net::NetError::Kind::kClosed) << e.what();
+  }
+  const auto took = std::chrono::steady_clock::now() - started;
+  EXPECT_GE(took, opts.reactor.stall_timeout);
+  EXPECT_LT(took, std::chrono::milliseconds(2000));
+  EXPECT_EQ(rig.server->stats().slow_closed, 1u);
+
+  // The quiet peer, silent for longer than the timeout, is still served.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto second = telemetry_frame(2);
+  net::send_all(quiet, second.data(), second.size(), deadline);
+  EXPECT_EQ(recv_reply(quiet, deadline).header.request_id, 2u);
+  EXPECT_EQ(rig.server->stats().slow_closed, 1u);
 }
 
 // --- shutdown ---------------------------------------------------------------
@@ -560,7 +589,7 @@ TEST(Reactor, TaskOutlivingTheReactorHoldsOnlyItsConnection) {
 
 TEST(Reactor, BlockedHandlerHoldsUpOnlyItsConnection) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.workers = 2;
   ReactorRig rig(opts);
   auto& mw = *rig.middleware;
@@ -598,7 +627,7 @@ TEST(Reactor, BlockedHandlerHoldsUpOnlyItsConnection) {
 
 TEST(Reactor, PipelinedRequestsRunOneAtATimeInArrivalOrder) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.workers = 4;  // idle threads that could overlap them, if allowed to
   ReactorRig rig(opts);
   auto& mw = *rig.middleware;
@@ -638,7 +667,7 @@ TEST(Reactor, PipelinedRequestsRunOneAtATimeInArrivalOrder) {
 
 TEST(Reactor, HandlerLongerThanIdleTimeoutIsAnswered) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.reactor.idle_timeout = std::chrono::milliseconds(100);
   ReactorRig rig(opts);
   auto& mw = *rig.middleware;
@@ -660,13 +689,13 @@ TEST(Reactor, HandlerLongerThanIdleTimeoutIsAnswered) {
 
 TEST(Reactor, ServesManyMoreClientsThanWorkers) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.workers = 4;
   ReactorRig rig(opts);
   auto& mw = *rig.middleware;
 
-  // 16 concurrent closed-loop clients on 4 workers: impossible in
-  // thread-per-connection mode (12 would starve in the accept queue).
+  // 16 concurrent closed-loop clients on 4 workers: every one is served,
+  // though at most 4 requests run at once.
   constexpr int kThreads = 16;
   constexpr int kCallsPerThread = 25;
   std::vector<ac::RemoteHandle> handles;
@@ -690,7 +719,7 @@ TEST(Reactor, ServesManyMoreClientsThanWorkers) {
     EXPECT_EQ(value, kCallsPerThread);
   }
 
-  // Byte parity both directions, exactly like the thread-mode hammer test.
+  // Byte parity both directions, as in the transport's hammer test.
   const auto counters = mw.net_counters();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(2);
@@ -704,17 +733,154 @@ TEST(Reactor, ServesManyMoreClientsThanWorkers) {
   EXPECT_EQ(counters.frames_received, server.frames_out);
 }
 
+// --- keeping the connection just served -------------------------------------
+
+TEST(Reactor, KeepingThreadYieldsToAnotherConnection) {
+  APAR_REQUIRE_LOOPBACK();
+  using Clock = std::chrono::steady_clock;
+  net::TcpServer::Options opts;
+  opts.workers = 1;
+  ReactorRig rig(opts);
+  auto& mw = *rig.middleware;
+  const auto counter =
+      mw.create(0, "Counter", as::encode(mw.wire_format(), 0LL));
+
+  // One client calls in a tight closed loop, so the only thread, having
+  // answered it, keeps its connection. Its reply times show when it
+  // paused: a keep also ends by itself once its client is quiet for 1 ms.
+  std::atomic<bool> done{false};
+  std::mutex mu;
+  std::vector<Clock::time_point> replied;
+  std::string failure;
+  std::thread busy([&] {
+    try {
+      const auto deadline = net::deadline_after(std::chrono::seconds(60));
+      net::Socket socket = net::dial(rig.endpoint(), deadline);
+      for (std::uint64_t id = 1; !done.load(); ++id) {
+        const auto frame = call_frame(id, counter.object, "add",
+                                      as::encode(mw.wire_format(), 1LL));
+        net::send_all(socket, frame.data(), frame.size(), deadline);
+        (void)recv_reply(socket, deadline);
+        std::lock_guard lock(mu);
+        replied.push_back(Clock::now());
+      }
+    } catch (const std::exception& e) {
+      failure = e.what();
+    }
+  });
+  auto paused = [&](Clock::time_point from, Clock::time_point to) {
+    constexpr auto kQuiet = std::chrono::microseconds(800);
+    std::lock_guard lock(mu);
+    auto prev = from;
+    for (auto it = std::lower_bound(replied.begin(), replied.end(), from);
+         it != replied.end() && *it <= to; ++it) {
+      if (*it - prev > kQuiet) return true;
+      prev = *it;
+    }
+    return to - prev > kQuiet;
+  };
+  const auto warm_by = Clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    {
+      std::lock_guard lock(mu);
+      if (replied.size() >= 200 || Clock::now() > warm_by) break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // A call on a second connection, made while the busy client never
+  // paused, is answered within 100 ms: the keeping thread watched the set.
+  int unpaused = 0;
+  try {
+    net::Socket other = net::dial(
+        rig.endpoint(), net::deadline_after(std::chrono::milliseconds(1000)));
+    for (std::uint64_t i = 0; i < 50 && unpaused < 5; ++i) {
+      // Long enough for the keep of this connection's last call to end.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      const auto started = Clock::now();
+      const auto frame = call_frame(1000 + i, counter.object, "get",
+                                    as::encode(mw.wire_format()));
+      net::send_all(other, frame.data(), frame.size(),
+                    net::deadline_after(std::chrono::milliseconds(1000)));
+      const RawReply reply = recv_reply(
+          other, net::deadline_after(std::chrono::milliseconds(2000)));
+      const auto answered = Clock::now();
+      EXPECT_EQ(reply.header.request_id, 1000 + i);
+      if (paused(started - std::chrono::milliseconds(1), answered)) continue;
+      ++unpaused;
+      EXPECT_LT(answered - started, std::chrono::milliseconds(100));
+    }
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+  EXPECT_GE(unpaused, 1)
+      << "every call waited for the busy client to pause";
+  done = true;
+  busy.join();
+  EXPECT_EQ(failure, "");
+}
+
+TEST(Reactor, StopEndsAKeepPromptly) {
+  APAR_REQUIRE_LOOPBACK();
+  net::Listener listener(0);
+  net::ServerStats stats;
+  const std::size_t fds_before = apar::test::open_fd_count();
+
+  net::Reactor::Options options;
+  options.drain_timeout = std::chrono::seconds(5);
+  auto reactor = std::make_unique<net::Reactor>(
+      listener, 1,
+      [](const net::FrameHeader& header, std::vector<std::byte>) {
+        net::ReplyAction action;
+        action.header.op = net::FrameHeader::Op::kReplyOk;
+        action.header.request_id = header.request_id;
+        return action;
+      },
+      options, stats, "keep-stop");
+
+  // A client calling in a tight loop keeps the only thread on its
+  // connection until stop() closes it.
+  std::atomic<int> replies{0};
+  std::thread client([&] {
+    try {
+      const auto deadline = net::deadline_after(std::chrono::seconds(30));
+      net::Socket socket = net::dial({"127.0.0.1", listener.port()}, deadline);
+      for (std::uint64_t id = 1;; ++id) {
+        const auto frame = telemetry_frame(id);
+        net::send_all(socket, frame.data(), frame.size(), deadline);
+        (void)recv_reply(socket, deadline);
+        replies.fetch_add(1);
+      }
+    } catch (const net::NetError&) {
+      // The server closed the connection.
+    }
+  });
+  const auto warm_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (replies.load() < 200 && std::chrono::steady_clock::now() < warm_by)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_GE(replies.load(), 200);
+
+  const auto started = std::chrono::steady_clock::now();
+  reactor->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(1))
+      << "stop() waited on the kept connection until the drain timeout";
+  client.join();
+  EXPECT_EQ(apar::test::open_fd_count(), fds_before);
+}
+
 // --- chaos composition ------------------------------------------------------
 
 TEST(Reactor, ChaosDropRetriesLookupLikeThreadMode) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.chaos_drop_frames = 2;  // server eats the first two requests
   ReactorRig rig(opts);
   auto& mw = *rig.middleware;
 
   // Lookups retry through reconnects, so the chaos is invisible except in
-  // the counters — byte-identical behaviour to thread mode.
+  // the counters.
   EXPECT_FALSE(mw.lookup("nobody").has_value());
   EXPECT_EQ(rig.server->stats().chaos_dropped, 2u);
   EXPECT_GE(mw.net_counters().retries, 2u);
@@ -751,7 +917,7 @@ TEST(Reactor, FaultInjectionComposesOverReactor) {
 TEST(Reactor, QueueDepthRecordsOneSamplePerReplyOnBothWritePaths) {
   APAR_REQUIRE_LOOPBACK();
   apar::obs::MetricsHold metrics;
-  auto opts = reactor_options();
+  net::TcpServer::Options opts;
   opts.workers = 4;
   ReactorRig rig(opts);
   const auto depth = apar::obs::MetricsRegistry::global().histogram(

@@ -1,4 +1,4 @@
-// What both server modes promise alike: a reply is counted before the
+// What the server promises every client: a reply is counted before the
 // client can see it, and a frame's announced length commits no memory
 // before its bytes arrive.
 #include <gtest/gtest.h>
@@ -32,27 +32,9 @@ std::size_t rss_bytes() {
 
 }  // namespace
 
-class ServerModes : public ::testing::TestWithParam<net::TcpServer::Mode> {
- protected:
-  [[nodiscard]] net::TcpServer::Options options() const {
-    net::TcpServer::Options opts;
-    opts.mode = GetParam();
-    return opts;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Mode, ServerModes,
-    ::testing::Values(net::TcpServer::Mode::kThreadPerConnection,
-                      net::TcpServer::Mode::kReactor),
-    [](const auto& info) {
-      return info.param == net::TcpServer::Mode::kReactor ? "reactor"
-                                                          : "thread";
-    });
-
-TEST_P(ServerModes, RepliesAreCountedBeforeTheyLeave) {
+TEST(ServerModes, RepliesAreCountedBeforeTheyLeave) {
   APAR_REQUIRE_LOOPBACK();
-  TcpRig rig(as::Format::kCompact, options());
+  TcpRig rig(as::Format::kCompact);
   auto& mw = *rig.middleware;
   const auto handle =
       mw.create(0, "Counter", as::encode(mw.wire_format(), 0LL));
@@ -66,12 +48,9 @@ TEST_P(ServerModes, RepliesAreCountedBeforeTheyLeave) {
   }
 }
 
-TEST_P(ServerModes, HostileFrameLengthCommitsNoPayloadMemory) {
+TEST(ServerModes, HostileFrameLengthCommitsNoPayloadMemory) {
   APAR_REQUIRE_LOOPBACK();
-  auto opts = options();
-  opts.workers = 8;  // thread mode serves all eight connections at once
-  opts.io_deadline = std::chrono::milliseconds(2000);
-  TcpRig rig(as::Format::kCompact, opts);
+  TcpRig rig(as::Format::kCompact);
   const std::size_t before = rss_bytes();
 
   // Each connection announces the largest payload the protocol allows,

@@ -29,8 +29,8 @@ TEST(TcpConcurrency, HammerFromManyThreadsAndByteParity) {
   TcpRig rig(as::Format::kCompact, sopts);
   auto& mw = *rig.middleware;
 
-  // The server is thread-per-connection with `workers` handlers, so keep
-  // client threads <= workers.
+  // One client thread per server worker (Reactor.ServesManyMoreClients-
+  // ThanWorkers has more clients than workers).
   constexpr int kThreads = 4;
   constexpr int kCallsPerThread = 50;
   std::vector<ac::RemoteHandle> handles;
@@ -58,7 +58,7 @@ TEST(TcpConcurrency, HammerFromManyThreadsAndByteParity) {
   // headers included. This is the both-directions accounting check made
   // literal by a real transport. The server increments its counters
   // AFTER send() returns, so a client can observe a reply a beat before
-  // the handler thread's fetch_add lands — give the stats a moment to
+  // the serving thread's fetch_add lands — give the stats a moment to
   // settle before comparing.
   const auto counters = mw.net_counters();
   const auto deadline =

@@ -1,4 +1,4 @@
-// Seeded reactor stress, two schedules.
+// Seeded reactor stress, three schedules.
 //
 // Pipelining clients against a reactor server whose threads pass
 // connections between each other: handler delays come from the seed, a
@@ -13,6 +13,11 @@
 // was closed redials and resends; every request must still be served
 // exactly once and answered in order, so no connection was closed while
 // one of its requests was being served.
+//
+// Closed-loop clients, many more than server threads, whose seeded pauses
+// fall inside and outside the window in which the thread that answered a
+// request keeps its connection: kept and handed-back connections mix, and
+// every reply must still come exactly once and in order.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -229,6 +234,56 @@ std::string run_napping_client(std::uint64_t seed, int client,
   return {};
 }
 
+/// One closed-loop client that pauses between requests for a seeded time:
+/// mostly not at all or briefly, so the server keeps its connection, and
+/// sometimes past the keep window, so the connection goes back to the set.
+/// Returns a failure description, or an empty string.
+std::string run_pausing_client(std::uint64_t seed, int client,
+                               std::uint16_t port, std::uint64_t oid,
+                               std::size_t requests) {
+  auto rng =
+      apar::common::rng_at(seed, 2000 + static_cast<std::uint64_t>(client));
+  const auto deadline = net::deadline_after(std::chrono::seconds(60));
+  net::Socket socket = net::dial({"127.0.0.1", port}, deadline);
+  for (std::size_t seq = 0; seq < requests; ++seq) {
+    const double dice = rng.uniform01();
+    const auto pause_us = static_cast<long long>(
+        dice < 0.6   ? 0
+        : dice < 0.85 ? rng.uniform(50, 800)
+                      : rng.uniform(1500, 4000));
+    if (pause_us > 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(pause_us));
+    Request r;
+    r.bytes = static_cast<long long>(rng.uniform(1, 256));
+    r.fill = static_cast<long long>('a' + rng.uniform(0, 25));
+    r.delay_us = static_cast<long long>(rng.uniform(0, 100));
+    const auto frame = request_frame(seq, oid, r);
+    net::send_all(socket, frame.data(), frame.size(), deadline);
+
+    std::array<std::byte, net::FrameHeader::kSize> head;
+    net::recv_exact(socket, head.data(), head.size(), deadline);
+    const auto header = net::decode_header(head.data(), head.size());
+    std::vector<std::byte> payload(header.payload_len);
+    net::recv_exact(socket, payload.data(), payload.size(), deadline);
+    if (header.request_id != seq)
+      return "client " + std::to_string(client) + ": reply " +
+             std::to_string(seq) + " carries request id " +
+             std::to_string(header.request_id);
+    const auto [bytes, fill, delay, text] =
+        as::decode<long long, long long, long long, std::string>(
+            payload, as::Format::kCompact);
+    if (text != std::string(static_cast<std::size_t>(r.bytes),
+                            static_cast<char>(r.fill)))
+      return "client " + std::to_string(client) + ": reply " +
+             std::to_string(seq) + " has the wrong body";
+  }
+  pollfd pfd{socket.fd(), POLLIN, 0};
+  if (::poll(&pfd, 1, 20) != 0)
+    return "client " + std::to_string(client) +
+           ": bytes after its last reply";
+  return {};
+}
+
 }  // namespace
 
 TEST(StressReactor, PipelinedRepliesStayOrderedAcrossWorkerAndLoopWrites) {
@@ -239,7 +294,6 @@ TEST(StressReactor, PipelinedRepliesStayOrderedAcrossWorkerAndLoopWrites) {
   apar::cluster::rpc::Registry registry;
   registry.bind<Echo>("Echo").ctor<>().method<&Echo::reply>("reply");
   net::TcpServer::Options opts;
-  opts.mode = net::TcpServer::Mode::kReactor;
   opts.workers = 4;
   opts.reactor.sndbuf_bytes = 4 * 1024;  // reply tails
   net::TcpServer server(registry, opts);
@@ -309,7 +363,6 @@ TEST(StressReactor, IdleSweepsNeverCloseAConnectionMidRequest) {
   apar::cluster::rpc::Registry registry;
   registry.bind<Ledger>("Ledger").ctor<>().method<&Ledger::serve>("serve");
   net::TcpServer::Options opts;
-  opts.mode = net::TcpServer::Mode::kReactor;
   opts.workers = 2;  // fewer threads than clients
   opts.reactor.idle_timeout = std::chrono::milliseconds(20);
   net::TcpServer server(registry, opts);
@@ -360,6 +413,54 @@ TEST(StressReactor, IdleSweepsNeverCloseAConnectionMidRequest) {
   std::printf("[ STRESS  ] idle closes %llu, client redials %d\n",
               static_cast<unsigned long long>(stats.idle_closed),
               redials.load());
+  EXPECT_EQ(apar::test::open_fd_count(), fds_before)
+      << "descriptors left open after stop()";
+}
+
+TEST(StressReactor, KeptAndHandedBackConnectionsMix) {
+  APAR_REQUIRE_LOOPBACK();
+  const std::uint64_t seed = announce_stress_seed(0x4EE9);
+  const std::size_t fds_before = apar::test::open_fd_count();
+
+  apar::cluster::rpc::Registry registry;
+  registry.bind<Echo>("Echo").ctor<>().method<&Echo::reply>("reply");
+  net::TcpServer::Options opts;
+  opts.workers = 3;  // far fewer threads than clients
+  net::TcpServer server(registry, opts);
+
+  std::uint64_t oid = 0;
+  {
+    net::TcpMiddleware::Options mw;
+    mw.endpoints = {{"127.0.0.1", server.port()}};
+    net::TcpMiddleware middleware(mw);
+    oid = middleware.create(0, "Echo", as::encode(as::Format::kCompact))
+              .object;
+  }
+  const auto frames_before = server.stats().frames_in;
+
+  constexpr int kClients = 12;
+  constexpr std::size_t kRequests = 200;
+  std::vector<std::string> failures(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      try {
+        failures[c] =
+            run_pausing_client(seed, c, server.port(), oid, kRequests);
+      } catch (const std::exception& e) {
+        failures[c] = "client " + std::to_string(c) + ": " + e.what();
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  for (const std::string& failure : failures) EXPECT_EQ(failure, "");
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.frames_in - frames_before, kClients * kRequests);
+  EXPECT_EQ(stats.frames_out, stats.frames_in);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+
+  server.stop();
   EXPECT_EQ(apar::test::open_fd_count(), fds_before)
       << "descriptors left open after stop()";
 }

@@ -196,17 +196,16 @@ analysis::Report analyze_sieve_tcp() {
   return report;
 }
 
-/// The TCP sieve weave as served by the event-driven reactor
-/// (TcpServer::Mode::kReactor): ReactorIngressAspect declares that every
-/// served method may be entered from whichever server thread read the
-/// request — unconfined concurrency injected by the TRANSPORT, not by any
-/// client-side weave. The effects pass then demands a monitor covering
-/// every pair of served methods that race on declared state, which is why
-/// Conc guards take_results here (collect and take_results both write
-/// "results"; the plain FarmTCP weave only ever calls take_results from
-/// the single gather thread, but a reactor server cannot assume that).
-/// Must analyze clean: the template for exposing a class behind the
-/// reactor safely.
+/// The TCP sieve weave as served by a TcpServer's reactor:
+/// ReactorIngressAspect declares that every served method may be entered
+/// from whichever server thread read the request — unconfined concurrency
+/// injected by the TRANSPORT, not by any client-side weave. The effects
+/// pass then demands a monitor covering every pair of served methods that
+/// race on declared state, which is why Conc guards take_results here
+/// (collect and take_results both write "results"; the plain FarmTCP weave
+/// only ever calls take_results from the single gather thread, but a
+/// reactor server cannot assume that). Must analyze clean: the template
+/// for exposing a class behind the reactor safely.
 analysis::Report analyze_sieve_tcp_reactor() {
   using Farm = strategies::FarmAspect<sieve::PrimeFilter, long long,
                                       long long, long long, double>;

@@ -2,15 +2,12 @@
 """Validate BENCH_net.json (produced by tools/run_bench.py --net).
 
 Structural checks always run: every scenario must carry the full latency
-summary with ordered percentiles and a sane request accounting, a
+summary with ordered percentiles and a sane request accounting, and a
 closed-loop row taken over several server starts must carry each start's
-throughput and p50 with quartiles that bracket its median, and a
-full-mode document's comparison block must carry both modes' closed-loop
-throughput and p50 at the same client count, with their quartiles. With
---require-ratio R the acceptance gate is enforced too: the reactor
-scenario must serve at least R times thread-per-connection's sustainable
-connection count (its worker limit) at equal-or-better p99 under the same
-offered load, with zero reactor-side errors.
+throughput and p50 with quartiles that bracket its median. With
+--require-ratio R the acceptance gate is enforced too: the open-loop
+scenario must have offered at least R times the server's `workers`
+connections and completed every request it issued, with zero errors.
 
     tools/check_net_bench.py BENCH_net.json               # schema only
     tools/check_net_bench.py BENCH_net.json --require-ratio 4
@@ -82,75 +79,36 @@ def check_starts(name, row):
                  f"bracket the median {median} within {values!r}")
 
 
-CLOSED_LOOP_KEYS = ("thread_closed_rps", "thread_closed_p50_us",
-                    "reactor_closed_rps", "reactor_closed_p50_us")
-
-
-def check_comparison(doc):
-    comparison = doc["comparison"]
-    clients = comparison.get("closed_loop_clients")
-    if not isinstance(clients, int) or clients <= 0:
-        fail(f"comparison: closed_loop_clients = {clients!r}")
-    for key in CLOSED_LOOP_KEYS:
-        value = comparison.get(key)
-        if not isinstance(value, (int, float)) or value <= 0:
-            fail(f"comparison: {key} = {value!r}")
-    workers = doc.get("workers")
-    for mode in ("thread", "reactor"):
-        name = f"{mode}_w{workers}_c{clients}"
-        row = doc["scenarios"].get(name)
-        if row is None:
-            fail(f"comparison: closed-loop scenario '{name}' missing")
-        if row["mode"] != "closed" or row["clients"] != clients:
-            fail(f"comparison: scenario '{name}' is not a closed loop of "
-                 f"{clients} clients")
-        if (row["throughput_rps"] != comparison[f"{mode}_closed_rps"] or
-                row["latency_us"]["p50"] !=
-                comparison[f"{mode}_closed_p50_us"]):
-            fail(f"comparison: {mode} closed-loop fields disagree with "
-                 f"scenario '{name}'")
-        if "starts" not in row:
-            fail(f"comparison: closed-loop scenario '{name}' is one run, "
-                 f"not the median of several server starts")
-        if comparison.get("closed_loop_starts") != row["starts"]:
-            fail(f"comparison: closed_loop_starts "
-                 f"{comparison.get('closed_loop_starts')!r} != "
-                 f"{row['starts']} starts of '{name}'")
-        for field, key in (("throughput_rps", "rps"), ("p50_us", "p50_us")):
-            if (comparison.get(f"{mode}_closed_{key}_quartiles") !=
-                    row[f"{field}_quartiles"]):
-                fail(f"comparison: {mode}_closed_{key}_quartiles disagree "
-                     f"with scenario '{name}'")
-
-
 def check_ratio(doc, require_ratio):
-    comparison = doc.get("comparison")
-    if not comparison:
-        fail("--require-ratio needs the 'comparison' block "
-             "(full-mode run_bench.py --net, not --quick)")
-    ratio = comparison["connection_ratio"]
+    workers = doc.get("workers")
+    if not isinstance(workers, int) or workers <= 0:
+        fail(f"--require-ratio needs the server's workers, got {workers!r}")
+    rows = [(name, row) for name, row in doc["scenarios"].items()
+            if row["mode"] == "open"]
+    if len(rows) != 1:
+        fail(f"--require-ratio needs one open-loop scenario (full-mode "
+             f"run_bench.py --net, not --quick), found {len(rows)}")
+    name, row = rows[0]
+    ratio = row["clients"] / workers
     if ratio < require_ratio:
-        fail(f"connection ratio {ratio:.1f} < required {require_ratio}")
-    thread_p99 = comparison["thread_p99_us_at_reactor_load"]
-    reactor_p99 = comparison["reactor_p99_us"]
-    if reactor_p99 > thread_p99:
-        fail(f"reactor p99 {reactor_p99}us worse than thread-per-connection "
-             f"{thread_p99}us at the same offered load")
-    if comparison["reactor_errors"] != 0:
-        fail(f"reactor dropped {comparison['reactor_errors']} requests "
-             f"while serving {comparison['reactor_connections']} connections")
-    print(f"check_net_bench: reactor held {comparison['reactor_connections']} "
-          f"connections ({ratio:.1f}x thread mode's "
-          f"{comparison['thread_sustainable_connections']}) at p99 "
-          f"{reactor_p99}us vs {thread_p99}us")
+        fail(f"scenario {name}: {row['clients']} connections are "
+             f"{ratio:.1f}x the {workers} workers, below {require_ratio}x")
+    if row["errors"] != 0 or row["ok"] != row["requests"]:
+        fail(f"scenario {name}: {row['ok']} of {row['requests']} requests "
+             f"completed, {row['errors']} errors, over {row['clients']} "
+             f"connections")
+    print(f"check_net_bench: {row['clients']} connections ({ratio:.1f}x "
+          f"{workers} workers) completed all {row['requests']} requests, "
+          f"p99 {row['latency_us']['p99']}us")
 
 
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("path", help="BENCH_net.json to validate")
     parser.add_argument("--require-ratio", type=float, default=0.0,
-                        help="minimum reactor/thread connection ratio at "
-                             "equal-or-better p99 (0 = schema checks only)")
+                        help="minimum open-loop connections per worker, "
+                             "all requests completed (0 = schema checks "
+                             "only)")
     args = parser.parse_args(argv)
 
     try:
@@ -167,8 +125,6 @@ def main(argv):
         fail("no scenarios in document")
     for name, row in scenarios.items():
         check_scenario(name, row)
-    if "comparison" in doc:
-        check_comparison(doc)
     if args.require_ratio > 0:
         check_ratio(doc, args.require_ratio)
     print(f"check_net_bench: {args.path} OK ({len(scenarios)} scenarios)")

@@ -14,30 +14,23 @@ load, date from the benchmark's own header) to keep numbers honest when
 they are quoted in EXPERIMENTS.md.
 
 With --net the flow is different: instead of a google-benchmark binary it
-drives examples/sieve_server + tools/loadgen through the thread-mode vs
-reactor-mode latency scenarios and writes BENCH_net.json:
+drives examples/sieve_server + tools/loadgen and writes BENCH_net.json:
 
     tools/run_bench.py --net --build build --out BENCH_net.json
 
 Scenarios (full mode; --quick runs one small closed-loop round for CI):
-  thread_wW_cW    closed loop at thread mode's natural capacity
-                  (clients == workers): the baseline service latency.
-  reactor_wW_cW   the same closed loop against Mode::kReactor: the two
-                  modes' peak throughput and p50 side by side.
-                  Each closed-loop row is the median of 5 server starts
-                  (CLOSED_STARTS), alternating thread and reactor, with
-                  each start's numbers and the quartiles recorded beside
-                  it: one short run can land in either mode of a bimodal
-                  host.
-  thread_wW_cN    open loop, N = 4x workers connections: thread-per-
-                  connection past its worker limit (starved clients,
-                  coordinated-omission-corrected percentiles).
-  reactor_wW_cN   the same open-loop load against Mode::kReactor.
-The "comparison" block distills the acceptance questions — how many
-connections the reactor sustains versus thread mode, at what p99, and how
-the two modes' closed-loop throughput and p50 compare — and
-tools/check_net_bench.py gates on it. The document records the host's core
-count and the build type of the binaries it ran.
+  closed_wW_cW    closed loop, one client per worker: peak throughput and
+                  service latency. The row is the median of 5 server
+                  starts (CLOSED_STARTS), with each start's numbers and
+                  the quartiles recorded beside it: one short run can land
+                  in either mode of a bimodal host.
+  open_wW_cN      open loop at a fixed rate over N = 4x workers
+                  connections (coordinated-omission-corrected
+                  percentiles): every connection must be served.
+tools/check_net_bench.py validates the document and, with
+--require-ratio R, gates on the open-loop row having offered at least R x
+workers connections and completed every request it issued. The document
+records the host's core count and the build type of the binaries it ran.
 
 With --adapt it drives bench/adapt_scaling — the phase-shifting autonomic
 workload — and writes BENCH_adapt.json:
@@ -96,8 +89,6 @@ def parse_args(argv):
                              "binaries")
     parser.add_argument("--workers", type=int, default=8,
                         help="[--net] server workers W")
-    parser.add_argument("--connections", type=int, default=32,
-                        help="[--net] reactor-scenario connection count N")
     parser.add_argument("--rate", type=float, default=3000.0,
                         help="[--net] open-loop aggregate requests/second")
     parser.add_argument("--measure-seconds", type=float, default=4.0,
@@ -205,9 +196,8 @@ class NetServer:
     """examples/sieve_server as a context manager: starts the process,
     waits for the port file, SIGTERMs on exit."""
 
-    def __init__(self, build, mode, workers):
+    def __init__(self, build, workers):
         self.binary = os.path.join(build, "examples", "sieve_server")
-        self.mode = mode
         self.workers = workers
         self.proc = None
         self.port = None
@@ -217,8 +207,7 @@ class NetServer:
             prefix="apar_port_", delete=False)
         port_file.close()
         os.unlink(port_file.name)
-        cmd = [self.binary, "--mode", self.mode,
-               "--workers", str(self.workers),
+        cmd = [self.binary, "--workers", str(self.workers),
                "--port-file", port_file.name, "--run-seconds", "300"]
         print("+ " + " ".join(cmd), file=sys.stderr)
         self.proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL)
@@ -320,44 +309,36 @@ def median_row(label, runs):
 
 def run_net(args):
     workers = args.workers
-    connections = args.connections
+    connections = 4 * workers
     scenarios = {}
     try:
         if args.quick:
-            # CI smoke: one small closed-loop round against the reactor,
-            # just enough to validate the whole pipeline end to end.
-            name = f"reactor_w2_c4_quick"
-            with NetServer(args.build, "reactor", 2) as server:
+            # CI smoke: one small closed-loop round, just enough to
+            # validate the whole pipeline end to end.
+            name = "closed_w2_c4_quick"
+            with NetServer(args.build, 2) as server:
                 scenarios[name] = run_loadgen(
                     args.build, server.port, name,
                     ["--mode", "closed", "--clients", "4",
                      "--requests", "200", "--warmup", "50"])
         else:
-            open_args = ["--mode", "open",
-                         "--clients", str(connections),
-                         "--rate", str(args.rate),
-                         "--measure-seconds", str(args.measure_seconds),
-                         "--warmup-seconds", "1", "--timeout-ms", "1000"]
-            closed_args = ["--mode", "closed", "--clients", str(workers),
-                           "--requests", "2000", "--warmup", "200"]
-            closed_runs = {"thread": [], "reactor": []}
+            name = f"closed_w{workers}_c{workers}"
+            runs = []
             for _ in range(CLOSED_STARTS):
-                for mode in ("thread", "reactor"):
-                    name = f"{mode}_w{workers}_c{workers}"
-                    with NetServer(args.build, mode, workers) as server:
-                        closed_runs[mode].append(run_loadgen(
-                            args.build, server.port, name, closed_args))
-            for mode, runs in closed_runs.items():
-                name = f"{mode}_w{workers}_c{workers}"
-                scenarios[name] = median_row(name, runs)
-            name = f"thread_w{workers}_c{connections}"
-            with NetServer(args.build, "thread", workers) as server:
-                scenarios[name] = run_loadgen(args.build, server.port, name,
-                                              open_args)
-            name = f"reactor_w{workers}_c{connections}"
-            with NetServer(args.build, "reactor", workers) as server:
-                scenarios[name] = run_loadgen(args.build, server.port, name,
-                                              open_args)
+                with NetServer(args.build, workers) as server:
+                    runs.append(run_loadgen(
+                        args.build, server.port, name,
+                        ["--mode", "closed", "--clients", str(workers),
+                         "--requests", "2000", "--warmup", "200"]))
+            scenarios[name] = median_row(name, runs)
+            name = f"open_w{workers}_c{connections}"
+            with NetServer(args.build, workers) as server:
+                scenarios[name] = run_loadgen(
+                    args.build, server.port, name,
+                    ["--mode", "open", "--clients", str(connections),
+                     "--rate", str(args.rate),
+                     "--measure-seconds", str(args.measure_seconds),
+                     "--warmup-seconds", "1", "--timeout-ms", "1000"])
     except LoopbackUnavailable:
         print("loopback TCP unavailable; writing a skip marker",
               file=sys.stderr)
@@ -368,39 +349,6 @@ def run_net(args):
 
     doc = {"nproc": os.cpu_count(), "build_type": build_type(args.build),
            "workers": workers, "scenarios": scenarios}
-    if not args.quick:
-        # Thread-per-connection can serve at most `workers` connections at
-        # once; the reactor scenario offers `connections` of them. The pair
-        # of open-loop runs at identical offered load is the apples-to-
-        # apples comparison the acceptance gate checks.
-        thread = scenarios[f"thread_w{workers}_c{connections}"]
-        reactor = scenarios[f"reactor_w{workers}_c{connections}"]
-        thread_closed = scenarios[f"thread_w{workers}_c{workers}"]
-        reactor_closed = scenarios[f"reactor_w{workers}_c{workers}"]
-        doc["comparison"] = {
-            "thread_sustainable_connections": workers,
-            "reactor_connections": connections,
-            "connection_ratio": connections / workers,
-            "offered_rate_rps": args.rate,
-            "thread_p99_us_at_reactor_load": thread["latency_us"]["p99"],
-            "reactor_p99_us": reactor["latency_us"]["p99"],
-            "thread_errors": thread["errors"],
-            "reactor_errors": reactor["errors"],
-            "closed_loop_clients": workers,
-            "closed_loop_starts": thread_closed["starts"],
-            "thread_closed_rps": thread_closed["throughput_rps"],
-            "thread_closed_rps_quartiles":
-                thread_closed["throughput_rps_quartiles"],
-            "thread_closed_p50_us": thread_closed["latency_us"]["p50"],
-            "thread_closed_p50_us_quartiles":
-                thread_closed["p50_us_quartiles"],
-            "reactor_closed_rps": reactor_closed["throughput_rps"],
-            "reactor_closed_rps_quartiles":
-                reactor_closed["throughput_rps_quartiles"],
-            "reactor_closed_p50_us": reactor_closed["latency_us"]["p50"],
-            "reactor_closed_p50_us_quartiles":
-                reactor_closed["p50_us_quartiles"],
-        }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -432,11 +380,11 @@ def run_adapt(args):
         doc = json.load(fh)
 
     if not args.quick:
-        # Informational net leg: a closed-loop loadgen round against the
-        # reactor server records the net.rtt_us shape the controller's
+        # Informational net leg: a closed-loop loadgen round against a
+        # sieve_server records the net.rtt_us shape the controller's
         # routing plane consumes. Not part of the recovery gate.
         try:
-            with NetServer(args.build, "reactor", 2) as server:
+            with NetServer(args.build, 2) as server:
                 doc["net"] = run_loadgen(
                     args.build, server.port, "adapt_net",
                     ["--mode", "closed", "--clients", "4",
