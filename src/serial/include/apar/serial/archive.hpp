@@ -273,7 +273,8 @@ class Reader {
     } else if constexpr (std::is_arithmetic_v<T>) {
       check(n * sizeof(T));
       v.resize(n);
-      std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
+      // An empty vector's data() may be null, which memcpy must not get.
+      if (n != 0) std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
       pos_ += n * sizeof(T);
     } else {
       v.clear();

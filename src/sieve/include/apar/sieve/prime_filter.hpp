@@ -13,6 +13,14 @@ namespace apar::sieve {
 /// scratch buffer is shared across calls) — protecting it is the
 /// concurrency aspect's job, exactly as in the paper.
 ///
+/// `filter` is trial division without the divide instruction. The
+/// constructor stores, per base prime p = 2^k·q (q odd), q's inverse mod
+/// 2^64, floor((2^64 − 1) / p) and k; |c| is then divisible by p iff
+/// rotr(|c| · q⁻¹, k) <= that limit (Granlund & Montgomery, PLDI 1994):
+/// one multiply and one compare in place of a 64-bit `%`. Candidates are
+/// tried against the primes in ascending order up to the first divisor,
+/// so `ops()` still counts the trial divisions `%` would have made.
+///
 /// The third constructor argument is the *work model*: simulated
 /// nanoseconds charged per trial division actually performed. On the
 /// single-core reproduction host this calibrated sleep stands in for the
@@ -48,12 +56,20 @@ class PrimeFilter {
   [[nodiscard]] std::uint64_t ops() const { return ops_; }
 
  private:
+  /// One base prime p = 2^shift · q, q odd, as `filter` tests it.
+  struct Divisor {
+    std::uint64_t inverse;  // q⁻¹ mod 2^64
+    std::uint64_t limit;    // floor((2^64 − 1) / p)
+    int shift;
+  };
+
   void charge(std::uint64_t ops_delta);
 
   long long pmin_;
   long long pmax_;
   double ns_per_op_;
   std::vector<long long> primes_;
+  std::vector<Divisor> divisors_;  // primes_[i]'s test, same order
   std::vector<long long> scratch_;  // shared across calls: NOT thread safe
   std::vector<long long> found_;
   std::uint64_t ops_ = 0;

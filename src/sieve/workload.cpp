@@ -1,6 +1,7 @@
 #include "apar/sieve/workload.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <utility>
 
@@ -21,13 +22,28 @@ long long sieve_root(long long max) {
 std::vector<long long> primes_up_to(long long n) {
   std::vector<long long> primes;
   if (n < 2) return primes;
-  std::vector<bool> composite(static_cast<std::size_t>(n) + 1, false);
-  for (long long p = 2; p <= n; ++p) {
-    if (composite[static_cast<std::size_t>(p)]) continue;
+  // pi(n) < 1.25506 n / ln n for n > 1 (Rosser & Schoenfeld, 1962).
+  primes.reserve(static_cast<std::size_t>(
+      1.25506 * static_cast<double>(n) / std::log(static_cast<double>(n)) +
+      1.0));
+  primes.push_back(2);
+  // Odd numbers only: composite[i] stands for 2i + 1 (index 0, the
+  // number 1, is never read), so the table holds n/2 bits.
+  const auto slots = static_cast<std::size_t>((n - 1) / 2) + 1;
+  std::vector<bool> composite(slots, false);
+  std::size_t i = 1;
+  for (; i < slots; ++i) {
+    if (composite[i]) continue;
+    const auto p = static_cast<long long>(2 * i + 1);
+    if (p > n / p) break;  // every composite left has a factor below p
     primes.push_back(p);
-    for (long long m = p * p; m <= n; m += p)
-      composite[static_cast<std::size_t>(m)] = true;
+    // p², p² + 2p, ...: the odd multiples of p not yet struck out.
+    const auto step = static_cast<std::size_t>(p);
+    for (auto m = static_cast<std::size_t>(p * p / 2); m < slots; m += step)
+      composite[m] = true;
   }
+  for (; i < slots; ++i)
+    if (!composite[i]) primes.push_back(static_cast<long long>(2 * i + 1));
   return primes;
 }
 

@@ -435,6 +435,14 @@ analysis::Report analyze_demo_broken_tcp() {
 /// The acceptance composition: one aspect set carrying every static defect
 /// class at once, plus a scripted ABBA acquisition for the dynamic check.
 analysis::Report analyze_demo_broken() {
+  // The cluster outlives ctx: ctx's destructor quiesces, and the
+  // distribution aspect drains this fabric when it does.
+  cluster::Cluster::Options copts;
+  copts.nodes = 2;
+  copts.executors_per_node = 1;
+  cluster::Cluster demo_cluster(copts);
+  cluster::RmiMiddleware middleware(demo_cluster,
+                                    cluster::CostModel::loopback());
   aop::Context ctx;
 
   // (1) Dead pointcut: "Ledger.depositt" — note the typo.
@@ -456,12 +464,6 @@ analysis::Report analyze_demo_broken() {
   ctx.attach(sync_b);
 
   // (4) Distribution hazard: put(Opaque) cannot cross the wire.
-  cluster::Cluster::Options copts;
-  copts.nodes = 2;
-  copts.executors_per_node = 1;
-  cluster::Cluster demo_cluster(copts);
-  cluster::RmiMiddleware middleware(demo_cluster,
-                                    cluster::CostModel::loopback());
   auto dist =
       std::make_shared<strategies::DistributionAspect<demo::Ledger, long long>>(
           "Distribution", demo_cluster, middleware);

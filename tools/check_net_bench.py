@@ -8,6 +8,11 @@ throughput and p50 with quartiles that bracket its median. With
 --require-ratio R the acceptance gate is enforced too: the open-loop
 scenario must have offered at least R times the server's `workers`
 connections and completed every request it issued, with zero errors.
+An open-loop row also carries loadgen's two diagnostics, lag_max_us and
+missed_after_reply; a failed gate prints them, so it says whether the
+generator (errors that fell due while the client held its latest reply)
+or the server missed the slots. They explain a failure; they never
+excuse one.
 
     tools/check_net_bench.py BENCH_net.json               # schema only
     tools/check_net_bench.py BENCH_net.json --require-ratio 4
@@ -52,6 +57,19 @@ def check_scenario(name, row):
         fail(f"scenario {name}: ok > 0 but throughput_rps <= 0")
     if "starts" in row:
         check_starts(name, row)
+    if row["mode"] == "open":
+        check_open(name, row)
+
+
+def check_open(name, row):
+    """loadgen's open-loop diagnostics: who missed the window-end slots."""
+    lag = row.get("lag_max_us")
+    if not isinstance(lag, (int, float)) or lag < 0:
+        fail(f"scenario {name}: lag_max_us = {lag!r}")
+    missed = row.get("missed_after_reply")
+    if not isinstance(missed, int) or not 0 <= missed <= row["errors"]:
+        fail(f"scenario {name}: missed_after_reply = {missed!r} with "
+             f"{row['errors']} errors")
 
 
 def check_starts(name, row):
@@ -96,7 +114,9 @@ def check_ratio(doc, require_ratio):
     if row["errors"] != 0 or row["ok"] != row["requests"]:
         fail(f"scenario {name}: {row['ok']} of {row['requests']} requests "
              f"completed, {row['errors']} errors, over {row['clients']} "
-             f"connections")
+             f"connections; {row['missed_after_reply']} of the errors fell "
+             f"due while the client held its latest reply (the generator "
+             f"missed those), generator lag max {row['lag_max_us']}us")
     print(f"check_net_bench: {row['clients']} connections ({ratio:.1f}x "
           f"{workers} workers) completed all {row['requests']} requests, "
           f"p99 {row['latency_us']['p99']}us")

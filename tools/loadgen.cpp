@@ -17,7 +17,13 @@
 //                   instead of silently slowing the generator down
 //                   (coordinated-omission corrected). This is the honest
 //                   load model for "how does p99 behave at 4x the
-//                   connections" questions.
+//                   connections" questions. Slots still unsent when the
+//                   window closes count as errors. Two diagnostics say
+//                   who missed them: lag_max_us (the largest send time
+//                   minus intended time) and missed_after_reply (those
+//                   window-end errors that fell due while the client held
+//                   its latest reply instead of waiting on the server, so
+//                   the generator, not the server, missed them).
 //
 // Options: --port P [--host H] [--mode closed|open] [--clients N]
 //          [--requests N] [--warmup N] [--rate R] [--measure-seconds S]
@@ -27,6 +33,7 @@
 // --dump writes one JSON object (consumed by tools/run_bench.py --net and
 // validated by tools/check_net_bench.py); without it a human summary goes
 // to stdout. Exit status 0 on success, 2 when the target is unreachable.
+#include <algorithm>
 #include <atomic>
 #include <array>
 #include <chrono>
@@ -142,6 +149,9 @@ struct WorkerResult {
   std::uint64_t sent = 0;
   std::uint64_t ok = 0;
   std::uint64_t errors = 0;
+  // Open loop only: see the file comment.
+  Clock::duration lag_max{};
+  std::uint64_t missed_after_reply = 0;
 };
 
 std::vector<std::byte> build_request(const Settings& s,
@@ -253,18 +263,27 @@ void run_open(const Settings& s, int client_id, Clock::time_point start,
   std::uint64_t request_id =
       static_cast<std::uint64_t>(client_id) * 1000000 + 1;
 
+  // The last exchange: from its send until it returned (reply or
+  // failure) the client waited on the server, and at any other time on
+  // nobody but itself.
+  auto last_sent = start;
+  auto last_reply = start;
   while (intended < end) {
     if (Clock::now() >= end) break;  // backlogged past the window: stop
     std::this_thread::sleep_until(intended);  // no-op once we fall behind
     const std::uint64_t id = request_id++;
     const auto frame = build_request(s, id);
+    const auto sent_at = Clock::now();
     const bool ok =
         socket.valid() && exchange_once(socket, frame, id, timeout);
     if (!ok) socket = redial(s);  // failed stream cannot be trusted
     const auto now = Clock::now();
+    last_sent = sent_at;
+    last_reply = now;
     if (intended >= measure_from) {
       ++out.sent;
       ok ? ++out.ok : ++out.errors;
+      out.lag_max = std::max(out.lag_max, sent_at - intended);
       // Latency from the INTENDED send time: queueing delay caused by a
       // slow server counts against it, not for it.
       out.hist.record(static_cast<std::uint64_t>(
@@ -280,6 +299,10 @@ void run_open(const Settings& s, int client_id, Clock::time_point start,
     if (intended < measure_from) continue;
     ++out.sent;
     ++out.errors;
+    // Only the last exchange can overlap these slots. One that fell due
+    // outside it found the client holding its latest reply.
+    if (intended < last_sent || intended >= last_reply)
+      ++out.missed_after_reply;
     out.hist.record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - intended)
             .count()));
@@ -295,16 +318,26 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+double lag_max_us(const WorkerResult& r) {
+  return std::chrono::duration<double, std::micro>(r.lag_max).count();
+}
+
 std::string to_json(const Settings& s, const WorkerResult& total,
                     double elapsed_s) {
   const double throughput =
       elapsed_s > 0.0 ? static_cast<double>(total.ok) / elapsed_s : 0.0;
+  char open_fields[128] = "";
+  if (s.mode == "open")
+    std::snprintf(open_fields, sizeof(open_fields),
+                  ",\"lag_max_us\":%.1f,\"missed_after_reply\":%llu",
+                  lag_max_us(total),
+                  static_cast<unsigned long long>(total.missed_after_reply));
   char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
       "{\"label\":\"%s\",\"mode\":\"%s\",\"op\":\"%s\",\"clients\":%d,"
       "\"requests\":%llu,\"ok\":%llu,\"errors\":%llu,"
-      "\"elapsed_s\":%.3f,\"throughput_rps\":%.1f,"
+      "\"elapsed_s\":%.3f,\"throughput_rps\":%.1f%s,"
       "\"latency_us\":{\"p50\":%.1f,\"p95\":%.1f,\"p99\":%.1f,"
       "\"p999\":%.1f,\"max\":%.1f,\"mean\":%.1f}}",
       json_escape(s.label.empty() ? s.mode : s.label).c_str(), s.mode.c_str(),
@@ -312,9 +345,10 @@ std::string to_json(const Settings& s, const WorkerResult& total,
       static_cast<unsigned long long>(total.sent),
       static_cast<unsigned long long>(total.ok),
       static_cast<unsigned long long>(total.errors), elapsed_s, throughput,
-      total.hist.percentile_us(0.50), total.hist.percentile_us(0.95),
-      total.hist.percentile_us(0.99), total.hist.percentile_us(0.999),
-      total.hist.max_us(), total.hist.mean_us());
+      open_fields, total.hist.percentile_us(0.50),
+      total.hist.percentile_us(0.95), total.hist.percentile_us(0.99),
+      total.hist.percentile_us(0.999), total.hist.max_us(),
+      total.hist.mean_us());
   return buf;
 }
 
@@ -372,6 +406,8 @@ int main(int argc, char** argv) {
     total.sent += r.sent;
     total.ok += r.ok;
     total.errors += r.errors;
+    total.lag_max = std::max(total.lag_max, r.lag_max);
+    total.missed_after_reply += r.missed_after_reply;
   }
 
   const std::string json = to_json(s, total, elapsed_s);
@@ -396,6 +432,10 @@ int main(int argc, char** argv) {
       total.hist.percentile_us(0.50), total.hist.percentile_us(0.95),
       total.hist.percentile_us(0.99), total.hist.percentile_us(0.999),
       total.hist.max_us());
+  if (s.mode == "open")
+    std::printf("  generator lag max %.1fus, %llu missed after the reply\n",
+                lag_max_us(total),
+                static_cast<unsigned long long>(total.missed_after_reply));
   // A run where nothing succeeded is a failed run, not a datapoint.
   return total.ok > 0 ? 0 : 1;
 }

@@ -11,7 +11,9 @@ per-benchmark medians (real ns/op and items/s) are computed here rather
 than trusting the binary's aggregate rows, so partial runs and filters
 behave predictably. The output records enough machine context (cores,
 load, date from the benchmark's own header) to keep numbers honest when
-they are quoted in EXPERIMENTS.md.
+they are quoted in EXPERIMENTS.md, and at its top level, as --net does,
+the host's core count (`nproc`) and the build type of the binary's build
+directory (`build_type`).
 
 With --net the flow is different: instead of a google-benchmark binary it
 drives examples/sieve_server + tools/loadgen and writes BENCH_net.json:
@@ -421,7 +423,9 @@ def main(argv):
         run_adapt(args)
         return
     doc, repetitions = run_benchmark(args)
-    results = distill(doc, repetitions)
+    results = {"nproc": os.cpu_count(),
+               "build_type": build_type(os.path.dirname(args.binary)),
+               **distill(doc, repetitions)}
     with open(args.out, "w") as fh:
         json.dump(results, fh, indent=2)
         fh.write("\n")

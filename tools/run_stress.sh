@@ -11,13 +11,17 @@
 # a task trips tsan and the exactly-once asserts)
 # under ThreadSanitizer and AddressSanitizer, and the analysis suite
 # (`-L analysis` — the weave-plan verifier, the effects race passes and
-# the apar-analyze gates) under AddressSanitizer. Any
-# sanitizer report fails the run: halt_on_error turns the first finding
-# into a nonzero test exit.
+# the apar-analyze gates) under AddressSanitizer. The ubsan leg runs the
+# whole tier-1 suite under UndefinedBehaviorSanitizer: it runs nearly as
+# fast as a plain build, and the wire decoders, the serial archive and
+# the sieve kernel's wrapping arithmetic all run in it. Any
+# sanitizer report fails the run: halt_on_error (and, under ubsan,
+# -fno-sanitize-recover) turns the first finding into a nonzero test exit.
 #
 # Usage:
 #   tools/run_stress.sh              # tsan + asan
 #   tools/run_stress.sh tsan         # one sanitizer only
+#   tools/run_stress.sh tsan asan ubsan
 #   APAR_STRESS_SEED=123 tools/run_stress.sh tsan   # replay a seed
 set -euo pipefail
 
@@ -30,16 +34,23 @@ fi
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 abort_on_error=1}"
+export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 
 for preset in "${presets[@]}"; do
   case "$preset" in
-    tsan|asan) ;;
-    *) echo "unknown preset '$preset' (expected tsan or asan)" >&2; exit 2 ;;
+    tsan|asan|ubsan) ;;
+    *) echo "unknown preset '$preset' (expected tsan, asan or ubsan)" >&2
+       exit 2 ;;
   esac
   echo "=== [$preset] configure ==="
   cmake --preset "$preset"
   echo "=== [$preset] build ==="
   cmake --build --preset "$preset" -j "$(nproc)"
+  if [ "$preset" = "ubsan" ]; then
+    echo "=== [$preset] ctest (whole suite) ==="
+    ctest --test-dir "build-$preset" --output-on-failure -j "$(nproc)"
+    continue
+  fi
   # The analyzers allocate aggressively (registries, reports, JSON) but
   # are single-threaded: asan is the interesting sanitizer, and skipping
   # them under tsan keeps that (much slower) leg focused on real
@@ -52,4 +63,5 @@ for preset in "${presets[@]}"; do
   ctest --test-dir "build-$preset" -L "$labels" --output-on-failure -j 2
 done
 
-echo "stress + cache + net (+ analysis under asan) suites clean under: ${presets[*]}"
+echo "stress + cache + net (+ analysis under asan, everything under ubsan)" \
+     "clean under: ${presets[*]}"
