@@ -57,9 +57,14 @@ struct TraceSpan {
 /// memory without bound.
 class Tracer {
  public:
-  /// Default ring capacity (events). ~256k events ≈ tens of MB worst
-  /// case; override per instance or via APAR_TRACE_CAP for global().
-  static constexpr std::size_t kDefaultCapacity = 1u << 18;
+  /// Default ring capacity (events). An event is 88 B (sizeof(TraceEvent))
+  /// plus a heap block for a signature longer than 15 characters, such as
+  /// "PrimeFilter.process", so a full ring holds about 120 MB, and only in
+  /// a process that traces. Sized so that the traced phase of a perfbench
+  /// sieve run stays far below it, since a run whose ring dropped events
+  /// does not count. Override per instance or via APAR_TRACE_CAP for
+  /// global().
+  static constexpr std::size_t kDefaultCapacity = 1u << 20;
 
   explicit Tracer(std::size_t capacity = kDefaultCapacity);
 

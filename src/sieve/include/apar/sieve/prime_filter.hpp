@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -7,19 +8,59 @@
 
 namespace apar::sieve {
 
+namespace detail {
+
+/// PrimeFilter's divisor table. An odd q divides m iff m · q⁻¹ mod 2^64 is
+/// at most floor((2^64 − 1) / q) (Granlund & Montgomery, PLDI 1994), so the
+/// odd base primes are stored, ascending, as those two numbers in two
+/// arrays. The arrays are padded to a multiple of kLanes entries with
+/// {inverse 1, limit 0}: a pad entry matches only m = 0, which the first
+/// real entry matches already, so a pad entry is never the first divisor.
+/// The prime 2 is a parity test, not an entry.
+struct DivisorTable {
+  static constexpr std::size_t kLanes = 8;
+
+  bool two = false;     ///< 2 is a base prime: tested first, by parity
+  std::size_t odd = 0;  ///< real entries; the arrays are padded past them
+  std::vector<std::uint64_t> inverse;  ///< q⁻¹ mod 2^64
+  std::vector<std::uint64_t> limit;    ///< floor((2^64 − 1) / q)
+};
+
+/// The loops `PrimeFilter::filter` chooses between, named so that tests
+/// can run each one. A loop appends the candidates of `pack` that no base
+/// prime divides to `survivors` and returns the trial divisions made:
+/// primes in ascending order up to the first divisor, each try counted.
+using FilterLoop = std::uint64_t (*)(const DivisorTable& table,
+                                     const std::vector<long long>& pack,
+                                     std::vector<long long>& survivors);
+
+/// One table entry at a time: `m * inverse <= limit`.
+std::uint64_t filter_scalar(const DivisorTable& table,
+                            const std::vector<long long>& pack,
+                            std::vector<long long>& survivors);
+
+/// Eight table entries per AVX-512 multiply and compare, or null when this
+/// build is not x86-64 or this CPU lacks AVX-512F or AVX-512DQ.
+FilterLoop filter_avx512();
+
+}  // namespace detail
+
 /// The paper's core functionality (§5.1): a prime filter holding the base
 /// primes of a range, able to remove their multiples from packs of
 /// candidate numbers. Deliberately sequential and NOT thread safe (the
 /// scratch buffer is shared across calls) — protecting it is the
 /// concurrency aspect's job, exactly as in the paper.
 ///
-/// `filter` is trial division without the divide instruction. The
-/// constructor stores, per base prime p = 2^k·q (q odd), q's inverse mod
-/// 2^64, floor((2^64 − 1) / p) and k; |c| is then divisible by p iff
-/// rotr(|c| · q⁻¹, k) <= that limit (Granlund & Montgomery, PLDI 1994):
-/// one multiply and one compare in place of a 64-bit `%`. Candidates are
-/// tried against the primes in ascending order up to the first divisor,
-/// so `ops()` still counts the trial divisions `%` would have made.
+/// `filter` is trial division without the divide instruction, over the
+/// `detail::DivisorTable` the constructor builds: a candidate's magnitude
+/// |c| is even iff 2 divides it, and an odd base prime q divides it iff
+/// |c| · q⁻¹ mod 2^64 <= floor((2^64 − 1) / q). On a CPU with AVX-512F and
+/// AVX-512DQ one vector multiply and one unsigned compare test |c| against
+/// 8 primes, and the lowest matching lane is the first divisor; elsewhere
+/// a scalar loop tests one prime per multiply. The CPU picks the loop once
+/// per process; nothing else selects it. Either loop counts the primes
+/// tried in ascending order up to the first divisor, so `ops()` still
+/// counts the trial divisions `%` would have made.
 ///
 /// The third constructor argument is the *work model*: simulated
 /// nanoseconds charged per trial division actually performed. On the
@@ -55,21 +96,19 @@ class PrimeFilter {
   /// Trial divisions performed so far (the work-model currency).
   [[nodiscard]] std::uint64_t ops() const { return ops_; }
 
- private:
-  /// One base prime p = 2^shift · q, q odd, as `filter` tests it.
-  struct Divisor {
-    std::uint64_t inverse;  // q⁻¹ mod 2^64
-    std::uint64_t limit;    // floor((2^64 − 1) / p)
-    int shift;
-  };
+  /// The base primes as `filter` tests them.
+  [[nodiscard]] const detail::DivisorTable& divisor_table() const {
+    return table_;
+  }
 
+ private:
   void charge(std::uint64_t ops_delta);
 
   long long pmin_;
   long long pmax_;
   double ns_per_op_;
   std::vector<long long> primes_;
-  std::vector<Divisor> divisors_;  // primes_[i]'s test, same order
+  detail::DivisorTable table_;  // primes_ as filter tests them
   std::vector<long long> scratch_;  // shared across calls: NOT thread safe
   std::vector<long long> found_;
   std::uint64_t ops_ = 0;

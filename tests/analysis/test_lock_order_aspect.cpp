@@ -22,10 +22,10 @@ namespace acc = apar::concurrency;
 using apar::test::Worker;
 
 // Tests that script a deliberate ABBA acquisition order are exactly what
-// TSan's lock-order-inversion detector exists to flag; under sanitizers
-// they skip — the point of these tests is that the *aspect* catches the
-// hazard without instrumentation.
-#ifdef APAR_SANITIZED
+// TSan's lock-order-inversion detector exists to flag; under TSan they
+// skip — the point of these tests is that the *aspect* catches the hazard
+// without instrumentation. The other sanitizers run them.
+#ifdef APAR_THREAD_SANITIZED
 #define APAR_SKIP_DELIBERATE_INVERSION() \
   GTEST_SKIP() << "deliberate lock-order inversion; TSan reports it directly"
 #else

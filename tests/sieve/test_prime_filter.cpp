@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <climits>
 #include <cstdint>
+#include <ostream>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "apar/common/rng.hpp"
 #include "apar/common/stopwatch.hpp"
@@ -11,6 +15,7 @@
 
 using apar::sieve::PrimeFilter;
 namespace sv = apar::sieve;
+using sv::detail::FilterLoop;
 
 namespace {
 
@@ -44,6 +49,26 @@ void expect_matches_reference(PrimeFilter& f, std::vector<long long> pack) {
   f.filter(pack);
   EXPECT_EQ(pack, expected);
   EXPECT_EQ(f.ops() - before, reference_ops);
+}
+
+/// Runs `pack` through one of the filter's loops and the reference loop;
+/// both must keep the same survivors and count the same divisions.
+void expect_loop_matches_reference(FilterLoop loop, const PrimeFilter& f,
+                                   const std::vector<long long>& pack) {
+  std::uint64_t reference_ops = 0;
+  const auto expected = reference_filter(f, pack, reference_ops);
+  std::vector<long long> survivors;
+  EXPECT_EQ(loop(f.divisor_table(), pack, survivors), reference_ops);
+  EXPECT_EQ(survivors, expected);
+}
+
+/// The CPU feature the AVX-512 loop needs and this host lacks.
+std::string missing_avx512_feature() {
+#if defined(__x86_64__)
+  return __builtin_cpu_supports("avx512f") ? "AVX-512DQ" : "AVX-512F";
+#else
+  return "an x86-64 build";
+#endif
 }
 
 __extension__ typedef unsigned __int128 u128;
@@ -220,12 +245,13 @@ TEST(PrimeFilterTest, FullSieveMatchesReference) {
   EXPECT_EQ(total, sv::count_primes_up_to(kMax));
 }
 
-TEST(PrimeFilterTest, EveryTableEntryMatchesModulo) {
-  // For each base prime p, p·Q and −p·Q with Q the first prime above
-  // 2^62 / p: p is their only factor in the table, so each is caught by
-  // p's own entry after every smaller prime has been tried.
-  PrimeFilter f(2, 65'535);
-  ASSERT_EQ(f.primes().size(), 6'542u);
+namespace {
+
+/// For each base prime p of `f`, p·Q and −p·Q with Q the first prime
+/// above 2^62 / p, so p is their only factor in the table and each is
+/// caught by p's own entry after every smaller prime has been tried; then
+/// the edge candidates.
+std::vector<long long> table_entry_pack(const PrimeFilter& f) {
   std::vector<long long> pack;
   for (const long long p : f.primes()) {
     const auto up = static_cast<std::uint64_t>(p);
@@ -238,24 +264,146 @@ TEST(PrimeFilterTest, EveryTableEntryMatchesModulo) {
   for (const long long edge :
        {0LL, 1LL, -1LL, LLONG_MIN, LLONG_MAX, LLONG_MAX - 1})
     pack.push_back(edge);
-  expect_matches_reference(f, pack);
+  return pack;
 }
 
-TEST(PrimeFilterTest, SeededPacksMatchModulo) {
+/// Odd candidates over the benchmark's sieve windows (1,000,001 up), then
+/// any integer in [−2^62, 2^62], odd and even, either sign.
+std::vector<std::vector<long long>> seeded_packs() {
   apar::common::Rng rng(20'260'401);
-  // Odd candidates over the benchmark's sieve windows (1,000,001 up).
   std::vector<long long> window(20'000);
   for (auto& c : window)
     c = 1'000'001 + 2 * static_cast<long long>(rng() % 1'000'100);
-  // Any integer in [−2^62, 2^62], odd and even, either sign.
   std::vector<long long> wide(20'000);
   const std::uint64_t span = (std::uint64_t{1} << 63) + 1;
   for (auto& c : wide)
     c = static_cast<long long>(rng() % span - (std::uint64_t{1} << 62));
-  PrimeFilter f(2, 1'739);
-  expect_matches_reference(f, window);
-  expect_matches_reference(f, wide);
+  return {window, wide};
 }
+
+}  // namespace
+
+TEST(PrimeFilterTest, EveryTableEntryMatchesModulo) {
+  PrimeFilter f(2, 65'535);
+  ASSERT_EQ(f.primes().size(), 6'542u);
+  expect_matches_reference(f, table_entry_pack(f));
+}
+
+TEST(PrimeFilterTest, SeededPacksMatchModulo) {
+  PrimeFilter f(2, 1'739);
+  for (const auto& pack : seeded_packs()) expect_matches_reference(f, pack);
+}
+
+TEST(PrimeFilterTest, DivisorTableHoldsPaddedOddPrimes) {
+  for (const auto& [pmin, pmax] : {std::pair{2LL, 61LL}, std::pair{3LL, 59LL},
+                                   std::pair{2LL, 2LL}, std::pair{8LL, 10LL}}) {
+    SCOPED_TRACE(std::to_string(pmin) + ".." + std::to_string(pmax));
+    PrimeFilter f(pmin, pmax);
+    const auto& table = f.divisor_table();
+    const bool two = !f.primes().empty() && f.primes().front() == 2;
+    EXPECT_EQ(table.two, two);
+    ASSERT_EQ(table.odd, f.primes().size() - (two ? 1 : 0));
+    const std::size_t lanes = sv::detail::DivisorTable::kLanes;
+    ASSERT_EQ(table.inverse.size(), (table.odd + lanes - 1) / lanes * lanes);
+    ASSERT_EQ(table.limit.size(), table.inverse.size());
+    for (std::size_t i = 0; i < table.inverse.size(); ++i) {
+      if (i >= table.odd) {  // pad lane
+        EXPECT_EQ(table.inverse[i], 1u) << i;
+        EXPECT_EQ(table.limit[i], 0u) << i;
+        continue;
+      }
+      const auto q = static_cast<std::uint64_t>(f.primes()[i + (two ? 1 : 0)]);
+      EXPECT_EQ(q * table.inverse[i], 1u) << q;
+      EXPECT_EQ(table.limit[i], UINT64_MAX / q) << q;
+    }
+  }
+}
+
+namespace {
+
+struct LoopCase {
+  const char* name;
+  FilterLoop (*loop)();  // null when this host cannot run the loop
+};
+
+void PrintTo(const LoopCase& loop, std::ostream* os) { *os << loop.name; }
+
+FilterLoop scalar_loop() { return &sv::detail::filter_scalar; }
+
+/// Each of PrimeFilter's loops against `%`, whichever one this host's
+/// `filter` picks: the scalar loop everywhere, the AVX-512 loop where the
+/// CPU has AVX-512F and AVX-512DQ.
+class PrimeFilterLoop : public ::testing::TestWithParam<LoopCase> {
+ protected:
+  void SetUp() override {
+    loop_ = GetParam().loop();
+    if (loop_ == nullptr)
+      GTEST_SKIP() << GetParam().name << " loop needs "
+                   << missing_avx512_feature() << ", which this host lacks";
+  }
+
+  FilterLoop loop_ = nullptr;
+};
+
+}  // namespace
+
+TEST_P(PrimeFilterLoop, EveryTableEntryMatchesModulo) {
+  PrimeFilter f(2, 65'535);
+  ASSERT_EQ(f.primes().size(), 6'542u);
+  expect_loop_matches_reference(loop_, f, table_entry_pack(f));
+}
+
+TEST_P(PrimeFilterLoop, SeededPacksMatchModulo) {
+  // With and without the parity test for 2.
+  for (const long long pmin : {2LL, 3LL}) {
+    PrimeFilter f(pmin, 1'739);
+    SCOPED_TRACE("pmin " + std::to_string(pmin));
+    for (const auto& pack : seeded_packs())
+      expect_loop_matches_reference(loop_, f, pack);
+  }
+}
+
+TEST_P(PrimeFilterLoop, OddPrimeCountsOnAndOffTheLaneWidth) {
+  // 16 odd primes fill two lanes of 8 exactly; 17 leave 7 pad lanes.
+  for (const auto& [pmin, pmax, odd] :
+       {std::tuple{2LL, 59LL, 16u}, std::tuple{3LL, 59LL, 16u},
+        std::tuple{2LL, 61LL, 17u}, std::tuple{3LL, 61LL, 17u}}) {
+    PrimeFilter f(pmin, pmax);
+    SCOPED_TRACE(std::to_string(pmin) + ".." + std::to_string(pmax));
+    ASSERT_EQ(f.divisor_table().odd, odd);
+    expect_loop_matches_reference(loop_, f, table_entry_pack(f));
+    for (const auto& pack : seeded_packs())
+      expect_loop_matches_reference(loop_, f, pack);
+  }
+}
+
+TEST_P(PrimeFilterLoop, OnlyThePrimeTwo) {
+  PrimeFilter f(2, 2);
+  ASSERT_EQ(f.divisor_table().odd, 0u);
+  std::vector<long long> pack;
+  for (long long c = -9; c <= 9; ++c) pack.push_back(c);
+  expect_loop_matches_reference(loop_, f, pack);
+  expect_loop_matches_reference(loop_, f, seeded_packs().back());
+}
+
+TEST_P(PrimeFilterLoop, EdgeCandidatesInEveryShapeOfTable) {
+  const std::vector<long long> edges{0, 1, -1, LLONG_MIN, LLONG_MAX};
+  for (const auto& [pmin, pmax] :
+       {std::pair{2LL, 1'739LL}, std::pair{3LL, 1'739LL}, std::pair{2LL, 2LL},
+        std::pair{2LL, 59LL}, std::pair{3LL, 61LL}, std::pair{8LL, 10LL}}) {
+    PrimeFilter f(pmin, pmax);
+    SCOPED_TRACE(std::to_string(pmin) + ".." + std::to_string(pmax));
+    expect_loop_matches_reference(loop_, f, edges);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Loops, PrimeFilterLoop,
+    ::testing::Values(LoopCase{"Scalar", scalar_loop},
+                      LoopCase{"Avx512", sv::detail::filter_avx512}),
+    [](const ::testing::TestParamInfo<LoopCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(PrimeFilterTest, WorkModelSleepsProportionally) {
   PrimeFilter slow(2, 100, 50'000.0);  // 50 us per division

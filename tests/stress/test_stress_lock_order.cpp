@@ -46,9 +46,9 @@ const an::Finding* static_cycle(const an::Report& report) {
 }  // namespace
 
 TEST(StressLockOrder, AbbaBetweenTwoSyncAspectsIsReported) {
-#ifdef APAR_SANITIZED
+#ifdef APAR_THREAD_SANITIZED
   GTEST_SKIP() << "TSan flags the deliberate lock-order inversion itself; "
-                  "the aspect-level detection is covered unsanitized";
+                  "the aspect-level detection is covered without it";
 #endif
   const std::uint64_t seed = announce_stress_seed(0x10C0);
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Validate BENCH_adapt.json (produced by tools/run_bench.py --adapt).
 
-Structural checks always run: every configuration must report every
-phase with a positive measured duration and consistent throughput, and
-the recovery table must agree with the per-phase numbers it distills.
+Structural checks always run: the file must record the host's core count
+(`nproc`) and the build type it was taken from (`build_type`), every
+configuration must report every phase with a positive measured duration
+and consistent throughput, and the recovery table must agree with the
+per-phase numbers it distills.
 With --require-recovery R the acceptance gate is enforced too, both
 halves of it:
 
@@ -88,6 +90,12 @@ def main(argv):
     except (OSError, json.JSONDecodeError) as e:
         fail(f"cannot read {args.path}: {e}")
 
+    nproc = doc.get("nproc")
+    if not isinstance(nproc, int) or isinstance(nproc, bool) or nproc < 1:
+        fail(f"bad or missing 'nproc' ({nproc!r}): where was this taken?")
+    if not isinstance(doc.get("build_type"), str):
+        fail(f"bad or missing 'build_type' ({doc.get('build_type')!r})")
+
     configs = doc.get("configs")
     recovery = doc.get("recovery")
     if not configs or not recovery:
@@ -133,7 +141,8 @@ def main(argv):
               f"worst phase (gate {args.require_recovery}); best static "
               f"manages only {best_static:.3f}")
     print(f"check_adapt_bench: {args.path} OK "
-          f"({len(configs)} configs, {len(phases)} phases)")
+          f"({len(configs)} configs, {len(phases)} phases, "
+          f"nproc {nproc}, build {doc['build_type'] or 'unset'})")
 
 
 if __name__ == "__main__":

@@ -379,7 +379,8 @@ def run_adapt(args):
     if proc.returncode != 0:
         raise SystemExit(f"adapt_scaling failed ({proc.returncode})")
     with open(args.out) as fh:
-        doc = json.load(fh)
+        doc = {"nproc": os.cpu_count(), "build_type": build_type(args.build),
+               **json.load(fh)}
 
     if not args.quick:
         # Informational net leg: a closed-loop loadgen round against a
@@ -395,9 +396,9 @@ def run_adapt(args):
             print("loopback TCP unavailable; net leg skipped",
                   file=sys.stderr)
             doc["net"] = {"skipped": "loopback TCP unavailable"}
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
     recovery = doc["recovery"]
     print(f"wrote {args.out} ({len(doc['configs'])} configs)")
