@@ -330,7 +330,7 @@ void PrintTo(const LoopCase& loop, std::ostream* os) { *os << loop.name; }
 
 FilterLoop scalar_loop() { return &sv::detail::filter_scalar; }
 
-/// Each of PrimeFilter's loops against `%`, whichever one this host's
+/// Each of PrimeFilter's loops against `%`, not only the one this host's
 /// `filter` picks: the scalar loop everywhere, the AVX-512 loop where the
 /// CPU has AVX-512F and AVX-512DQ.
 class PrimeFilterLoop : public ::testing::TestWithParam<LoopCase> {
