@@ -2,8 +2,7 @@
 //
 // Complements Figure 16 (end-to-end < 5% claim) with microbenchmarks of the
 // dispatch path itself: direct virtual-free call vs compile-time weaving vs
-// runtime weaving (with and without the advice-chain cache, with growing
-// advice chains). google-benchmark binary.
+// runtime weaving (with growing advice chains). google-benchmark binary.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -99,20 +98,6 @@ void BM_RuntimeWeave_AdviceChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RuntimeWeave_AdviceChain)->Arg(1)->Arg(2)->Arg(5)->Arg(10);
-
-void BM_RuntimeWeave_CacheDisabled(benchmark::State& state) {
-  aop::Context ctx;
-  ctx.set_cache_enabled(false);
-  auto aspect = std::make_shared<aop::Aspect>("chain");
-  add_passthrough_advice(*aspect, 1);
-  ctx.attach(aspect);
-  auto target = ctx.create<Target>();
-  long long x = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.call<&Target::bump>(target, ++x));
-  }
-}
-BENCHMARK(BM_RuntimeWeave_CacheDisabled);
 
 void BM_RuntimeWeave_ScopedAdvice(benchmark::State& state) {
   // Scope checks (core_only) happen per invocation; measure their cost.

@@ -71,12 +71,6 @@ std::vector<std::string> Context::attached() const {
   return names;
 }
 
-void Context::set_cache_enabled(bool on) {
-  cache_enabled_.store(on, std::memory_order_relaxed);
-  std::unique_lock lock(mutex_);
-  cache_.clear();
-}
-
 void Context::quiesce() {
   // Aspects may produce more work from their on_quiesce hooks (e.g. a
   // dynamic farm flushing its queue spawns result deliveries), so iterate

@@ -61,9 +61,6 @@ class Context {
     return epoch_.load(std::memory_order_acquire);
   }
 
-  /// Toggle the advice-chain match cache (ablation: bench/weaving_micro).
-  void set_cache_enabled(bool on);
-
   // --- asynchronous-work tracking ---------------------------------------
 
   /// The task group aspect-spawned work registers with.
@@ -168,7 +165,7 @@ class Context {
     const CacheKey key{std::type_index(typeid(AdvT)), sig.class_name.data(),
                        sig.method_name.data()};
     const std::uint64_t now = epoch();
-    if (cache_enabled_.load(std::memory_order_relaxed)) {
+    {
       std::shared_lock lock(mutex_);
       auto it = cache_.find(key);
       if (it != cache_.end() && it->second.epoch == now)
@@ -194,7 +191,7 @@ class Context {
                      [](const AdvT* a, const AdvT* b) {
                        return a->order() < b->order();
                      });
-    if (cache_enabled_.load(std::memory_order_relaxed)) {
+    {
       std::unique_lock lock(mutex_);
       cache_[key] = CacheEntry{now, chain};
     }
@@ -228,7 +225,6 @@ class Context {
   std::vector<std::shared_ptr<Aspect>> aspects_;
   std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
   std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<bool> cache_enabled_{true};
   concurrency::TaskGroup tasks_;
 };
 

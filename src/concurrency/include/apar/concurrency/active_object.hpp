@@ -13,9 +13,9 @@ namespace apar::concurrency {
 /// time, in FIFO order, on a shared pool — the ABCL "active object" model
 /// (paper §2) without a dedicated thread per object.
 ///
-/// Used by the ObjectCache/ActiveObject optimisation aspects: it gives the
-/// same data-race freedom as the per-object monitor, but callers never block
-/// on a busy object; they just enqueue.
+/// It gives the same data-race freedom as the per-object monitor, but
+/// callers never block on a busy object; they just enqueue. No aspect uses
+/// it yet; its own tests are its only callers.
 class ActiveObject {
  public:
   explicit ActiveObject(ThreadPool& pool) : state_(std::make_shared<State>(pool)) {}

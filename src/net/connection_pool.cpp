@@ -2,6 +2,16 @@
 
 namespace apar::net {
 
+namespace {
+
+constexpr std::size_t kMaxIdlePerEndpoint = 8;
+
+}  // namespace
+
+ConnectionPool::ConnectionPool() {
+  stats_.export_as("net.pool", {{"pool", "TCP"}});
+}
+
 ConnectionPool::Checkout ConnectionPool::acquire(const Endpoint& endpoint,
                                                  Deadline deadline) {
   std::size_t discarded = 0;
@@ -31,7 +41,7 @@ void ConnectionPool::give_back(const Endpoint& endpoint, Socket socket) {
   if (!socket.valid()) return;
   std::lock_guard lock(mutex_);
   auto& bucket = idle_[endpoint];
-  if (bucket.size() >= max_idle_) return;  // socket closes on destruction
+  if (bucket.size() >= kMaxIdlePerEndpoint) return;  // socket closes here
   bucket.push_back(std::move(socket));
 }
 
@@ -47,11 +57,6 @@ std::size_t ConnectionPool::evict(const Endpoint& endpoint) {
   }
   // victims close outside the lock
   return victims.size();
-}
-
-void ConnectionPool::clear() {
-  std::lock_guard lock(mutex_);
-  idle_.clear();
 }
 
 std::size_t ConnectionPool::idle_count(const Endpoint& endpoint) const {

@@ -72,13 +72,17 @@ FrameHeader decode_header(const std::byte* data, std::size_t size) {
     throw NetError(NetError::Kind::kProtocol,
                    "nonzero reserved flags " + std::to_string(header.flags));
   header.payload_len = static_cast<std::uint32_t>(get_le(data + 6, 4));
-  if (header.payload_len > FrameHeader::kMaxPayload)
-    throw NetError(NetError::Kind::kProtocol,
-                   "payload length " + std::to_string(header.payload_len) +
-                       " exceeds cap " +
-                       std::to_string(FrameHeader::kMaxPayload));
+  check_payload_size(header.payload_len, "payload");
   header.request_id = get_le(data + 10, 8);
   return header;
+}
+
+void check_payload_size(std::size_t size, std::string_view what) {
+  if (size > FrameHeader::kMaxPayload)
+    throw NetError(NetError::Kind::kProtocol,
+                   std::string(what) + " of " + std::to_string(size) +
+                       " bytes exceeds the frame limit of " +
+                       std::to_string(FrameHeader::kMaxPayload) + " bytes");
 }
 
 std::string_view op_name(FrameHeader::Op op) {

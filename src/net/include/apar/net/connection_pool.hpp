@@ -2,7 +2,6 @@
 
 #include <map>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "apar/net/socket.hpp"
@@ -10,7 +9,7 @@
 
 namespace apar::net {
 
-/// ConnectionPool counters, exported as net.pool.<field>{pool}. dials:
+/// ConnectionPool counters, exported as net.pool.<field>{pool="TCP"}. dials:
 /// fresh connections established; reuses: healthy idle connections handed
 /// out; discards: stale idle connections thrown away; evictions: idle
 /// connections dropped by evict().
@@ -28,16 +27,14 @@ APAR_OBS_COUNTER_SET(ConnectionPoolStats, APAR_CONNECTION_POOL_STATS_FIELDS);
 ///
 /// Callers return healthy connections with give_back() after a complete
 /// request/reply exchange; a connection in an unknown state (an exchange
-/// failed mid-way) must simply be dropped, which closes it.
+/// failed mid-way) must simply be dropped, which closes it. Each endpoint
+/// keeps at most 8 idle connections.
 class ConnectionPool {
  public:
   using Stats = ConnectionPoolStats::Snapshot;
 
-  explicit ConnectionPool(const std::string& name = "pool",
-                          std::size_t max_idle_per_endpoint = 8)
-      : max_idle_(max_idle_per_endpoint) {
-    stats_.export_as("net.pool", {{"pool", name}});
-  }
+  /// Labelled "TCP", like its owner, TcpMiddleware.
+  ConnectionPool();
 
   /// What acquire() handed out: the connection, whether it was a reused
   /// idle one, and how many stale idle ones it threw away on the way
@@ -64,14 +61,10 @@ class ConnectionPool {
   /// evicted wholesale; the next acquire() dials fresh.
   std::size_t evict(const Endpoint& endpoint);
 
-  /// Drop every idle connection.
-  void clear();
-
   [[nodiscard]] Stats stats() const { return stats_.snapshot(); }
   [[nodiscard]] std::size_t idle_count(const Endpoint& endpoint) const;
 
  private:
-  const std::size_t max_idle_;
   mutable std::mutex mutex_;
   std::map<Endpoint, std::vector<Socket>> idle_;
   ConnectionPoolStats stats_;

@@ -76,6 +76,19 @@ struct FrameHeader {
   std::uint64_t request_id = 0;
 };
 
+/// One whole frame: a server handler's reply, or the reply a client's
+/// exchange received. A sender sets header.payload_len from payload.
+struct Frame {
+  FrameHeader header;
+  std::vector<std::byte> payload;
+};
+
+/// Throws NetError{kProtocol} naming `what`, `size` and the limit when
+/// `size` is above FrameHeader::kMaxPayload. Senders check before the
+/// first byte leaves: the peer would reject such a header, and past 4 GiB
+/// payload_len would wrap.
+void check_payload_size(std::size_t size, std::string_view what);
+
 /// Payload bytes a receiver sets aside when a header announces a frame. A
 /// frame up to this size is received into one allocation; a larger one
 /// grows with its bytes, so a header announcing kMaxPayload and then

@@ -26,19 +26,9 @@ namespace apar::net {
 /// dispatch_errors: requests answered kReplyError.
 #define APAR_SERVER_STATS_FIELDS(X)                                        \
   X(accepted) X(rejected) X(frames_in) X(frames_out) X(bytes_in)           \
-  X(bytes_out) X(protocol_errors) X(dispatch_errors) X(chaos_dropped)      \
-  X(chaos_stalled) X(backpressure_pauses) X(idle_closed) X(slow_closed)
+  X(bytes_out) X(protocol_errors) X(dispatch_errors)                       \
+  X(backpressure_pauses) X(idle_closed) X(slow_closed)
 APAR_OBS_COUNTER_SET(ServerStats, APAR_SERVER_STATS_FIELDS);
-
-/// What the dispatch handler decided about one request frame: either a
-/// reply to write back on the connection, or (chaos only) an instruction
-/// to close the connection without replying, so the client sees its reply
-/// lost.
-struct ReplyAction {
-  bool drop = false;
-  FrameHeader header;
-  std::vector<std::byte> payload;
-};
 
 /// Leader/followers server for the frame protocol over one epoll set.
 /// `threads` threads wait in epoll_wait, and every connection is armed
@@ -98,16 +88,18 @@ class Reactor {
     /// stop() grace: how long requests being served may take to finish
     /// and their replies to flush before every connection is shut down.
     std::chrono::milliseconds drain_timeout{2000};
-    /// Test knob: SO_SNDBUF for accepted sockets (0 = kernel default);
-    /// small values make slow-reader eviction and partial writes
-    /// deterministic.
+    /// SO_SNDBUF for accepted sockets (0 = kernel default). Only the
+    /// server can shrink an accepted socket's send buffer; small values
+    /// make slow-reader eviction and partial writes deterministic.
     int sndbuf_bytes = 0;
   };
 
-  /// Runs on the reactor thread that read the request; the reactor writes
-  /// the reply it returns.
+  /// Runs on the reactor thread that read the request and returns the
+  /// reply, which the reactor writes; its payload must fit
+  /// FrameHeader::kMaxPayload. A handler that throws gets no reply: the
+  /// reactor closes the connection, so the client sees its reply lost.
   using Handler =
-      std::function<ReplyAction(const FrameHeader&, std::vector<std::byte>)>;
+      std::function<Frame(const FrameHeader&, std::vector<std::byte>)>;
 
   /// Starts `threads` (at least one) serving threads. The listener must
   /// outlive the reactor and stay open until stop() returns. The threads

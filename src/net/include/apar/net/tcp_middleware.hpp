@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "apar/cache/sharded_lru.hpp"
 #include "apar/cluster/fabric.hpp"
 #include "apar/cluster/middleware.hpp"
 #include "apar/net/connection_pool.hpp"
@@ -45,10 +44,13 @@ APAR_OBS_COUNTER_SET(NetStats, APAR_NET_STATS_FIELDS);
 ///   - Server-side execution failures throw rpc::RpcError with the
 ///     server's message, exactly like the simulated middleware.
 ///   - Only LOOKUPS retry: they are idempotent, so a retry after a lost
-///     reply cannot double-execute anything. Retries use bounded
-///     exponential backoff and reconnect through the pool. Creations and
-///     calls are NOT retried — a lost reply leaves "did it execute?"
-///     ambiguous, and surfacing that as NetError is the honest answer.
+///     reply cannot double-execute anything. A lookup retries up to 3
+///     times, after 10, 20 and 40 ms, and reconnects through the pool.
+///     Creations and calls are NOT retried — a lost reply leaves "did it
+///     execute?" ambiguous, and surfacing that as NetError is the honest
+///     answer.
+///   - A request whose payload is over FrameHeader::kMaxPayload throws
+///     NetError{kProtocol} before any byte is sent.
 class TcpMiddleware final : public cluster::Middleware {
  public:
   struct Options {
@@ -56,24 +58,9 @@ class TcpMiddleware final : public cluster::Middleware {
     /// non-empty. endpoints[0] doubles as the name registry.
     std::vector<Endpoint> endpoints;
     serial::Format format = serial::Format::kCompact;
-    /// Advertise one-way support. One-ways still read the server's empty
-    /// ack frame, which keeps the connection state unambiguous and makes
-    /// TcpFabric::drain() a no-op.
-    bool one_way = true;
-    std::chrono::milliseconds connect_deadline{2000};
+    /// How long one exchange may take to send its request and read the
+    /// reply.
     std::chrono::milliseconds io_deadline{5000};
-    std::size_t max_lookup_retries = 3;
-    std::chrono::milliseconds backoff_initial{10};
-    std::chrono::milliseconds backoff_max{500};
-    /// Cache positive registry lookups in a ShardedLru with this many
-    /// entries (0 disables): a name is resolved over the wire once, every
-    /// later lookup is answered locally. bind_name() through this
-    /// middleware invalidates its own entry; a rebind by ANOTHER process
-    /// is only seen once lookup_cache_ttl lapses, so set a TTL whenever
-    /// several writers share the registry.
-    std::size_t lookup_cache_entries = 0;
-    std::chrono::milliseconds lookup_cache_ttl{0};  ///< 0 = no expiry
-    std::string name = "TCP";
   };
 
   /// Copyable snapshot of the wire-level accounting (one endpoint's, or
@@ -83,13 +70,14 @@ class TcpMiddleware final : public cluster::Middleware {
   explicit TcpMiddleware(Options options);
 
   // --- Middleware interface ----------------------------------------------
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  /// "TCP", which also labels the {middleware} and {pool} series.
+  [[nodiscard]] std::string_view name() const override;
   [[nodiscard]] serial::Format wire_format() const override {
     return options_.format;
   }
-  [[nodiscard]] bool supports_one_way() const override {
-    return options_.one_way;
-  }
+  /// One-ways still read the server's empty ack frame, which keeps the
+  /// connection state unambiguous and makes TcpFabric::drain() a no-op.
+  [[nodiscard]] bool supports_one_way() const override { return true; }
   [[nodiscard]] bool wire_transport() const override { return true; }
 
   cluster::RemoteHandle create(cluster::NodeId node,
@@ -129,41 +117,26 @@ class TcpMiddleware final : public cluster::Middleware {
   [[nodiscard]] NetCounters net_counters() const;
   [[nodiscard]] ConnectionPool& pool() { return pool_; }
 
-  /// Lookup-cache traffic (hits mean registry round-trips not taken);
-  /// null when Options::lookup_cache_entries is 0.
-  [[nodiscard]] const cache::CacheStats* lookup_cache_stats() const {
-    return lookup_cache_ ? &lookup_cache_->stats() : nullptr;
-  }
-
  private:
-  struct Exchange {
-    FrameHeader header;
-    std::vector<std::byte> payload;
-  };
-
   /// One framed request/reply over a pooled connection. Throws NetError
   /// on transport failure (the connection is dropped, not returned) and
   /// rpc::RpcError when the server answered kReplyError. When
   /// obs::tracing_enabled(), opens a "net.<op>" wire span (child of the
   /// calling thread's context) and ships its identity in the frame's
   /// trace trailer so the server's span joins the caller's trace.
-  Exchange roundtrip(std::size_t endpoint_index, FrameHeader::Op op,
-                     std::vector<std::byte> payload);
+  Frame roundtrip(std::size_t endpoint_index, FrameHeader::Op op,
+                  std::vector<std::byte> payload);
   /// The raw frame exchange behind roundtrip(); `flags` goes into the
   /// header verbatim.
-  Exchange exchange(std::size_t endpoint_index, FrameHeader::Op op,
-                    std::vector<std::byte> payload, std::uint8_t flags);
+  Frame exchange(std::size_t endpoint_index, FrameHeader::Op op,
+                 std::vector<std::byte> payload, std::uint8_t flags);
 
   const Endpoint& endpoint_for(cluster::NodeId node) const;
 
   Options options_;
-  std::string name_;
   cluster::CostModel costs_{};  ///< TCP costs are real; nothing is charged
   cluster::MiddlewareStats stats_;
   ConnectionPool pool_;
-  /// Positive registry-lookup results, name -> handle; null when disabled.
-  std::unique_ptr<cache::ShardedLru<std::string, cluster::RemoteHandle>>
-      lookup_cache_;
   std::atomic<std::uint64_t> next_request_id_{1};
 
   /// One per endpoint, indexed like Options::endpoints.

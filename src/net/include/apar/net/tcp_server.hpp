@@ -25,7 +25,7 @@ namespace apar::net {
 /// the thread that reads a request runs it and writes its reply, so
 /// `workers` bounds CPU concurrency while the connection count is bounded
 /// only by Options::reactor.max_connections. Every request goes through
-/// process_request (framing, trace trailers, kTelemetry, chaos knobs).
+/// process_request (framing, trace trailers, kTelemetry).
 /// docs/networking.md has the architecture; tools/loadgen measures it.
 class TcpServer {
  public:
@@ -36,15 +36,6 @@ class TcpServer {
     Reactor::Options reactor;
     /// Dispatcher error-message prefix; default "tcp:<port>".
     std::string label;
-
-    // --- chaos knobs (tests only) ---------------------------------------
-    /// Close the connection instead of replying for the first N request
-    /// frames — the reply is "lost", clients see NetError{kClosed}.
-    std::uint64_t chaos_drop_frames = 0;
-    /// Stall the first N replies by `chaos_stall_ms` — lets tests force a
-    /// client-side deadline expiry deterministically.
-    std::uint64_t chaos_stall_frames = 0;
-    std::chrono::milliseconds chaos_stall_ms{0};
   };
 
   /// Byte/frame accounting (ServerStats' fields), as a copyable snapshot.
@@ -75,11 +66,12 @@ class TcpServer {
   void stop();
 
  private:
-  /// The request path: chaos drop/stall decisions, serve-span tracing,
-  /// dispatch, telemetry — everything between a decoded request frame and
-  /// its encoded reply. Runs on the reactor thread that read the frame.
-  ReplyAction process_request(const FrameHeader& header,
-                              std::vector<std::byte> payload);
+  /// The request path: serve-span tracing, dispatch, telemetry —
+  /// everything between a decoded request frame and its reply. Runs on the
+  /// reactor thread that read the frame. Every failure, a reply over
+  /// FrameHeader::kMaxPayload included, is answered with kReplyError.
+  Frame process_request(const FrameHeader& header,
+                        std::vector<std::byte> payload);
   /// kTelemetry reply body: node identity, every server counter, and the
   /// global metrics-registry JSON; tflags bit 0 adds the tagged trace
   /// buffer, bit 1 flushes (drains) it in the same exchange.
@@ -93,7 +85,6 @@ class TcpServer {
   cluster::NameServer name_server_;
 
   std::atomic<bool> stopped_{false};
-  std::atomic<std::uint64_t> request_seq_{0};  ///< chaos decision index
 
   ServerStats stats_;
 

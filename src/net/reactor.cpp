@@ -388,25 +388,24 @@ struct Reactor::Impl {
     conn.payload_got = 0;
     conn.have_header = false;
     conn.header_got = 0;
-    ReplyAction action;
+    Frame reply;
     try {
-      action = handler(header, std::move(payload));
+      reply = handler(header, std::move(payload));
     } catch (...) {
       // The handler answers application errors itself; anything that
-      // escapes means the request cannot be answered reliably.
-      action.drop = true;
+      // escapes means the request cannot be answered reliably, so the
+      // connection closes without a reply.
+      return Next::kClose;
     }
-    if (action.drop) return Next::kClose;  // chaos: close without replying
-    return send_reply(conn, action);
+    return send_reply(conn, reply);
   }
 
   /// One nonblocking gather write; what the socket does not take becomes
   /// the connection's tail.
-  Next send_reply(Conn& conn, ReplyAction& action) {
-    action.header.payload_len =
-        static_cast<std::uint32_t>(action.payload.size());
-    auto head = encode_header(action.header);
-    const std::size_t total = head.size() + action.payload.size();
+  Next send_reply(Conn& conn, Frame& reply) {
+    reply.header.payload_len = static_cast<std::uint32_t>(reply.payload.size());
+    auto head = encode_header(reply.header);
+    const std::size_t total = head.size() + reply.payload.size();
     common::MutexLock lock(conn.mu);
     if (conn.closing) return Next::kClose;  // shut down under the handler
     // Counted before any byte can reach the peer, so a client that reads
@@ -416,10 +415,10 @@ struct Reactor::Impl {
       queue_depth->record(static_cast<double>(total));
 
     iovec iov[2] = {{head.data(), head.size()},
-                    {action.payload.data(), action.payload.size()}};
+                    {reply.payload.data(), reply.payload.size()}};
     msghdr msg{};
     msg.msg_iov = iov;
-    msg.msg_iovlen = action.payload.empty() ? 1 : 2;
+    msg.msg_iovlen = reply.payload.empty() ? 1 : 2;
     ssize_t n = 0;
     do {
       n = ::sendmsg(conn.socket.fd(), &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
@@ -432,11 +431,11 @@ struct Reactor::Impl {
     if (sent < head.size()) {
       conn.outbuf.assign(head.begin() + static_cast<std::ptrdiff_t>(sent),
                          head.end());
-      conn.outbuf.insert(conn.outbuf.end(), action.payload.begin(),
-                         action.payload.end());
+      conn.outbuf.insert(conn.outbuf.end(), reply.payload.begin(),
+                         reply.payload.end());
       conn.out_off = 0;
     } else {
-      conn.outbuf = std::move(action.payload);
+      conn.outbuf = std::move(reply.payload);
       conn.out_off = sent - head.size();
     }
     conn.last_write_progress = Clock::now();

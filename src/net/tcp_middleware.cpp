@@ -18,10 +18,19 @@ namespace {
 /// larger ones continue straight into their payload.
 constexpr std::size_t kReplyReadSize = 4096;
 
+constexpr std::string_view kName = "TCP";
+/// How long a dial may take.
+constexpr auto kConnectDeadline = std::chrono::milliseconds(2000);
+/// A lookup whose exchange failed is retried this often, after a backoff
+/// that starts at kBackoffInitial and doubles up to kBackoffMax.
+constexpr std::size_t kMaxLookupRetries = 3;
+constexpr auto kBackoffInitial = std::chrono::milliseconds(10);
+constexpr auto kBackoffMax = std::chrono::milliseconds(500);
+
 }  // namespace
 
 TcpMiddleware::TcpMiddleware(Options options)
-    : options_(std::move(options)), name_(options_.name), pool_(name_) {
+    : options_(std::move(options)) {
   if (options_.endpoints.empty())
     throw NetError(NetError::Kind::kConnect,
                    "TcpMiddleware needs at least one endpoint");
@@ -32,17 +41,10 @@ TcpMiddleware::TcpMiddleware(Options options)
     per_endpoint_[i].net.export_as("net", labels);
     per_endpoint_[i].rtt_us = reg.histogram("net.rtt_us", labels);
   }
-  if (options_.lookup_cache_entries > 0) {
-    cache::ShardedLru<std::string, cluster::RemoteHandle>::Options co;
-    co.shards = 4;
-    co.max_entries = options_.lookup_cache_entries;
-    co.ttl = options_.lookup_cache_ttl;
-    co.name = name_ + ".lookup";
-    lookup_cache_ = std::make_unique<
-        cache::ShardedLru<std::string, cluster::RemoteHandle>>(std::move(co));
-  }
-  stats_.export_as("middleware", {{"middleware", name_}});
+  stats_.export_as("middleware", {{"middleware", std::string(kName)}});
 }
+
+std::string_view TcpMiddleware::name() const { return kName; }
 
 TcpMiddleware::NetCounters TcpMiddleware::net_counters() const {
   NetCounters sum;
@@ -60,9 +62,8 @@ const Endpoint& TcpMiddleware::endpoint_for(cluster::NodeId node) const {
   return options_.endpoints[node];
 }
 
-TcpMiddleware::Exchange TcpMiddleware::roundtrip(
-    std::size_t endpoint_index, FrameHeader::Op op,
-    std::vector<std::byte> payload) {
+Frame TcpMiddleware::roundtrip(std::size_t endpoint_index, FrameHeader::Op op,
+                               std::vector<std::byte> payload) {
   if (!obs::tracing_enabled())
     return exchange(endpoint_index, op, std::move(payload), 0);
 
@@ -79,8 +80,8 @@ TcpMiddleware::Exchange TcpMiddleware::roundtrip(
                  std::this_thread::get_id(), sig, nullptr,
                  obs::TraceEvent::Phase::kEnter, wire_ctx});
   try {
-    Exchange ex = exchange(endpoint_index, op, std::move(payload),
-                           FrameHeader::kFlagTraceContext);
+    Frame ex = exchange(endpoint_index, op, std::move(payload),
+                        FrameHeader::kFlagTraceContext);
     tracer.record({std::chrono::steady_clock::now(),
                    std::this_thread::get_id(), sig, nullptr,
                    obs::TraceEvent::Phase::kExit, wire_ctx});
@@ -98,9 +99,11 @@ TcpMiddleware::Exchange TcpMiddleware::roundtrip(
   }
 }
 
-TcpMiddleware::Exchange TcpMiddleware::exchange(
-    std::size_t endpoint_index, FrameHeader::Op op,
-    std::vector<std::byte> payload, std::uint8_t flags) {
+Frame TcpMiddleware::exchange(std::size_t endpoint_index, FrameHeader::Op op,
+                              std::vector<std::byte> payload,
+                              std::uint8_t flags) {
+  // Before a connection is taken: a refused request leaves it reusable.
+  check_payload_size(payload.size(), "request");
   const Endpoint& ep = options_.endpoints[endpoint_index];
   PerEndpoint& per = per_endpoint_[endpoint_index];
   const bool timed = obs::metrics_enabled();
@@ -108,7 +111,7 @@ TcpMiddleware::Exchange TcpMiddleware::exchange(
                              : std::chrono::steady_clock::time_point{};
 
   auto checkout =
-      pool_.acquire(ep, deadline_after(options_.connect_deadline));
+      pool_.acquire(ep, deadline_after(kConnectDeadline));
   if (checkout.discarded > 0)
     per.lost.fetch_add(checkout.discarded, std::memory_order_relaxed);
   if (!checkout.reused) {
@@ -201,7 +204,7 @@ TcpMiddleware::Exchange TcpMiddleware::exchange(
     throw NetError(NetError::Kind::kProtocol,
                    "unexpected reply op " +
                        std::to_string(static_cast<int>(reply_header.op)));
-  return Exchange{reply_header, std::move(reply_payload)};
+  return Frame{reply_header, std::move(reply_payload)};
 }
 
 cluster::RemoteHandle TcpMiddleware::create(cluster::NodeId node,
@@ -214,7 +217,7 @@ cluster::RemoteHandle TcpMiddleware::create(cluster::NodeId node,
 
   stats_.creates.add();
   stats_.bytes_sent.add(payload.size());
-  Exchange ex = roundtrip(node, FrameHeader::Op::kCreate, std::move(payload));
+  Frame ex = roundtrip(node, FrameHeader::Op::kCreate, std::move(payload));
   stats_.bytes_received.add(ex.payload.size());
   EnvelopeReader env(ex.payload);
   return cluster::RemoteHandle{node, env.u64()};
@@ -231,8 +234,7 @@ std::vector<std::byte> TcpMiddleware::invoke(
 
   stats_.sync_calls.add();
   stats_.bytes_sent.add(payload.size());
-  Exchange ex =
-      roundtrip(target.node, FrameHeader::Op::kCall, std::move(payload));
+  Frame ex = roundtrip(target.node, FrameHeader::Op::kCall, std::move(payload));
   stats_.bytes_received.add(ex.payload.size());
   return std::move(ex.payload);
 }
@@ -240,11 +242,6 @@ std::vector<std::byte> TcpMiddleware::invoke(
 void TcpMiddleware::invoke_one_way(const cluster::RemoteHandle& target,
                                    std::string_view method,
                                    std::vector<std::byte> args) {
-  if (!options_.one_way) {
-    // Degrade like RMI: a synchronous call whose reply is discarded.
-    (void)invoke(target, method, std::move(args));
-    return;
-  }
   endpoint_for(target.node);
   std::vector<std::byte> payload;
   put_u64(payload, target.object);
@@ -253,7 +250,7 @@ void TcpMiddleware::invoke_one_way(const cluster::RemoteHandle& target,
 
   stats_.one_way_calls.add();
   stats_.bytes_sent.add(payload.size());
-  Exchange ex =
+  Frame ex =
       roundtrip(target.node, FrameHeader::Op::kOneWay, std::move(payload));
   // The ack is an empty frame; counting its (zero) payload keeps the
   // both-directions invariant literal.
@@ -263,21 +260,13 @@ void TcpMiddleware::invoke_one_way(const cluster::RemoteHandle& target,
 std::optional<cluster::RemoteHandle> TcpMiddleware::lookup(
     std::string_view name) {
   stats_.lookups.add();
-
-  // A cached positive binding answers without touching the wire at all —
-  // no frame, no bytes, no registry contention.
-  if (lookup_cache_) {
-    if (auto cached = lookup_cache_->get(std::string(name))) return *cached;
-  }
-
-  auto backoff = options_.backoff_initial;
+  auto backoff = kBackoffInitial;
   for (std::size_t attempt = 0;; ++attempt) {
     std::vector<std::byte> payload;
     put_string(payload, name);
     try {
       stats_.bytes_sent.add(payload.size());
-      Exchange ex =
-          roundtrip(0, FrameHeader::Op::kLookup, std::move(payload));
+      Frame ex = roundtrip(0, FrameHeader::Op::kLookup, std::move(payload));
       stats_.bytes_received.add(ex.payload.size());
       EnvelopeReader env(ex.payload);
       const bool found = env.u8() != 0;
@@ -285,19 +274,16 @@ std::optional<cluster::RemoteHandle> TcpMiddleware::lookup(
       handle.node = env.u32();
       handle.object = env.u64();
       if (!found) return std::nullopt;
-      // Only positive results are cached: a miss may be a racing bind,
-      // and re-asking is cheap relative to wrongly remembering absence.
-      if (lookup_cache_) lookup_cache_->put(std::string(name), handle);
       return handle;
     } catch (const NetError& e) {
       // Protocol corruption is not transient, and running out of retry
       // budget means the caller gets the real failure.
       if (e.kind() == NetError::Kind::kProtocol ||
-          attempt >= options_.max_lookup_retries)
+          attempt >= kMaxLookupRetries)
         throw;
       per_endpoint_[0].net.retries.add();  // lookups go to the registry
       std::this_thread::sleep_for(backoff);
-      backoff = std::min(backoff * 2, options_.backoff_max);
+      backoff = std::min(backoff * 2, kBackoffMax);
     }
   }
 }
@@ -309,8 +295,6 @@ void TcpMiddleware::bind_name(std::string name,
   put_u32(payload, handle.node);
   put_u64(payload, handle.object);
   (void)roundtrip(0, FrameHeader::Op::kBind, std::move(payload));
-  // This writer's own rebind must be visible to its next lookup.
-  if (lookup_cache_) lookup_cache_->erase(name);
 }
 
 std::string TcpMiddleware::telemetry(cluster::NodeId node, bool include_trace,
@@ -321,8 +305,7 @@ std::string TcpMiddleware::telemetry(cluster::NodeId node, bool include_trace,
   if (include_trace || flush_trace) tflags |= 0x01;
   if (flush_trace) tflags |= 0x02;
   payload.push_back(static_cast<std::byte>(tflags));
-  Exchange ex = roundtrip(node, FrameHeader::Op::kTelemetry,
-                          std::move(payload));
+  Frame ex = roundtrip(node, FrameHeader::Op::kTelemetry, std::move(payload));
   std::string json(ex.payload.size(), '\0');
   for (std::size_t i = 0; i < ex.payload.size(); ++i)
     json[i] = static_cast<char>(std::to_integer<std::uint8_t>(ex.payload[i]));

@@ -60,21 +60,13 @@ std::size_t TcpServer::open_connections() const {
   return reactor_.open_connections();
 }
 
-ReplyAction TcpServer::process_request(const FrameHeader& header,
-                                       std::vector<std::byte> payload) {
-  ReplyAction action;
-  const std::uint64_t seq =
-      request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (seq <= options_.chaos_drop_frames) {
-    stats_.chaos_dropped.add();
-    action.drop = true;  // "lose" the request: close without replying
-    return action;
-  }
-
-  FrameHeader& reply_header = action.header;
+Frame TcpServer::process_request(const FrameHeader& header,
+                                 std::vector<std::byte> payload) {
+  Frame out;
+  FrameHeader& reply_header = out.header;
   reply_header.format = header.format;
   reply_header.request_id = header.request_id;
-  std::vector<std::byte>& reply = action.payload;
+  std::vector<std::byte>& reply = out.payload;
 
   // Serve span: child of the caller's wire span when the frame carries a
   // trace trailer, a fresh root otherwise. Installed around the dispatch
@@ -148,6 +140,7 @@ ReplyAction TcpServer::process_request(const FrameHeader& header,
                            std::to_string(static_cast<int>(header.op)) +
                            " on server");
     }
+    check_payload_size(reply.size(), "reply");
     reply_header.op = FrameHeader::Op::kReplyOk;
   } catch (const std::exception& e) {
     APAR_DEBUG("net") << dispatcher_.label() << " request failed: "
@@ -169,14 +162,7 @@ ReplyAction TcpServer::process_request(const FrameHeader& header,
                    span->context()});
     span.reset();  // restore the worker's ambient context before the reply
   }
-
-  if (seq <= options_.chaos_stall_frames &&
-      options_.chaos_stall_ms.count() > 0) {
-    stats_.chaos_stalled.add();
-    std::this_thread::sleep_for(options_.chaos_stall_ms);
-  }
-
-  return action;
+  return out;
 }
 
 std::string TcpServer::telemetry_json(std::uint8_t tflags) const {

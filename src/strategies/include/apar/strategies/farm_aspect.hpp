@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -38,12 +37,6 @@ class FarmAspect : public aop::Aspect {
     std::size_t pack_size = 1000;
     RoutingPolicy routing = RoutingPolicy::kRoundRobin;
     std::uint64_t seed = 42;  ///< for kRandom routing
-    /// Submit a partition's packs as ONE pool batch (TaskGroup::BatchScope
-    /// over ThreadPool::bulk_post) when a pooled concurrency aspect sits
-    /// below: one wake sweep instead of a locked post per pack. Thread-per-
-    /// call and distribution dispatch are unaffected. Disable to force the
-    /// pack-at-a-time submission the paper describes.
-    bool batch_submit = true;
     /// Broadcast by default; replace to give workers distinct arguments.
     CtorPartitioner<CtorArgs...> ctor_args =
         broadcast_ctor_args<CtorArgs...>();
@@ -112,11 +105,12 @@ class FarmAspect : public aop::Aspect {
               auto& [data] = inv.args();
               const std::size_t pack_size =
                   pack_size_.load(std::memory_order_relaxed);
-              // Pooled async dispatches below collect into one bulk_post,
-              // flushed when the scope closes; non-pooled dispatch is
-              // unaffected by the scope.
-              std::optional<concurrency::TaskGroup::BatchScope> batch;
-              if (options_.batch_submit) batch.emplace(inv.context().tasks());
+              // Pooled async dispatches below collect into one bulk_post
+              // (one wake sweep instead of a locked post per pack), flushed
+              // when the scope closes; thread-per-call and distribution
+              // dispatch are unaffected by the scope.
+              concurrency::TaskGroup::BatchScope batch(
+                  inv.context().tasks());
               // Each pack is dispatched as soon as it is built, staying on
               // the process() chain: the route advice below picks the
               // worker, then concurrency/distribution advice apply.

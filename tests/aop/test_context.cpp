@@ -119,21 +119,6 @@ TEST(Context, DisabledAspectIsSkippedWithoutDetaching) {
   EXPECT_EQ(intercepted.load(), 1);
 }
 
-TEST(Context, CacheDisabledStillWeavesCorrectly) {
-  aop::Context ctx;
-  ctx.set_cache_enabled(false);
-  auto p = ctx.create<Point>(0, 0);
-  std::atomic<int> intercepted{0};
-  auto aspect = std::make_shared<aop::Aspect>("nc");
-  aspect->before_method<&Point::moveX>(aop::order::kDefault,
-                                       aop::Scope::any(),
-                                       [&](auto&) { ++intercepted; });
-  ctx.attach(aspect);
-  for (int i = 0; i < 10; ++i) ctx.call<&Point::moveX>(p, 1);
-  EXPECT_EQ(intercepted.load(), 10);
-  EXPECT_EQ(p.local()->x(), 10);
-}
-
 TEST(Context, AdviceChainCacheInvalidatedByPlugging) {
   // The advice-chain cache must never serve stale chains: a call weaves
   // the (cached) empty chain, then an aspect is attached and the very

@@ -1,8 +1,9 @@
 // The server (src/net/reactor): protocol equivalence with golden replies
 // from the retired thread-per-connection server, incremental decode (1-byte
 // trickle), pipelined ordering, backpressure, slow-reader eviction, stalled
-// senders, connection limits, idle timeouts, graceful drain, chaos
-// composition, and the leader/followers contract: a blocked handler holds
+// senders, connection limits, idle timeouts, graceful drain, fault
+// composition, the frame limit on replies, and the leader/followers
+// contract: a blocked handler holds
 // up only its own connection, one connection's requests are served one at
 // a time, a sweep never closes a connection whose request is being served,
 // and a thread keeping the connection it just served yields to the others.
@@ -36,16 +37,8 @@ using apar::test::TcpRig;
 
 namespace {
 
-/// Extra server-side classes for reactor behaviours the fixtures' Counter
-/// cannot exercise: controllable handler latency and big replies.
-class Sleeper {
- public:
-  Sleeper() = default;
-  long long nap(long long ms) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    return ms;
-  }
-};
+// Server-side classes for reactor behaviours the fixtures' Counter and
+// Sleeper cannot exercise: overlapping handlers and big replies.
 
 /// Records how many of its calls run at once and the order they finish.
 struct OverlapProbe {
@@ -94,7 +87,7 @@ class Blob {
 struct ReactorRig {
   explicit ReactorRig(net::TcpServer::Options opts = {}) {
     apar::test::register_counter(registry);
-    registry.bind<Sleeper>("Sleeper").ctor<>().method<&Sleeper::nap>("nap");
+    apar::test::register_sleeper(registry);
     registry.bind<Serial>("Serial").ctor<>().method<&Serial::step>("step");
     registry.bind<Blob>("Blob")
         .ctor<>()
@@ -548,10 +541,10 @@ TEST(Reactor, TaskOutlivingTheReactorHoldsOnlyItsConnection) {
       [&](const net::FrameHeader& header, std::vector<std::byte>) {
         entered.set_value();
         released.wait();
-        net::ReplyAction action;
-        action.header.op = net::FrameHeader::Op::kReplyOk;
-        action.header.request_id = header.request_id;
-        return action;
+        net::Frame reply;
+        reply.header.op = net::FrameHeader::Op::kReplyOk;
+        reply.header.request_id = header.request_id;
+        return reply;
       },
       options, stats, "outlive");
 
@@ -831,10 +824,10 @@ TEST(Reactor, StopEndsAKeepPromptly) {
   auto reactor = std::make_unique<net::Reactor>(
       listener, 1,
       [](const net::FrameHeader& header, std::vector<std::byte>) {
-        net::ReplyAction action;
-        action.header.op = net::FrameHeader::Op::kReplyOk;
-        action.header.request_id = header.request_id;
-        return action;
+        net::Frame reply;
+        reply.header.op = net::FrameHeader::Op::kReplyOk;
+        reply.header.request_id = header.request_id;
+        return reply;
       },
       options, stats, "keep-stop");
 
@@ -870,21 +863,7 @@ TEST(Reactor, StopEndsAKeepPromptly) {
   EXPECT_EQ(apar::test::open_fd_count(), fds_before);
 }
 
-// --- chaos composition ------------------------------------------------------
-
-TEST(Reactor, ChaosDropRetriesLookupLikeThreadMode) {
-  APAR_REQUIRE_LOOPBACK();
-  net::TcpServer::Options opts;
-  opts.chaos_drop_frames = 2;  // server eats the first two requests
-  ReactorRig rig(opts);
-  auto& mw = *rig.middleware;
-
-  // Lookups retry through reconnects, so the chaos is invisible except in
-  // the counters.
-  EXPECT_FALSE(mw.lookup("nobody").has_value());
-  EXPECT_EQ(rig.server->stats().chaos_dropped, 2u);
-  EXPECT_GE(mw.net_counters().retries, 2u);
-}
+// --- fault composition ------------------------------------------------------
 
 TEST(Reactor, FaultInjectionComposesOverReactor) {
   APAR_REQUIRE_LOOPBACK();
@@ -947,6 +926,38 @@ TEST(Reactor, QueueDepthRecordsOneSamplePerReplyOnBothWritePaths) {
   for (int i = 0; i < 4; ++i) (void)recv_reply(socket, deadline);
 
   EXPECT_EQ(depth->count() - before, rig.server->stats().frames_out);
+}
+
+// --- the frame limit --------------------------------------------------------
+
+TEST(Reactor, OversizeReplyIsAnsweredWithAnError) {
+  APAR_REQUIRE_LOOPBACK();
+  ReactorRig rig;
+  auto& mw = *rig.middleware;
+  const auto blob = mw.create(0, "Blob", as::encode(mw.wire_format()));
+
+  // The reply would not fit a frame: the server answers with the reason,
+  // not with a header its client must reject.
+  try {
+    mw.invoke(blob, "make",
+              as::encode(mw.wire_format(), static_cast<long long>(
+                                               net::FrameHeader::kMaxPayload)));
+    FAIL() << "expected RpcError";
+  } catch (const ac::rpc::RpcError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  std::to_string(net::FrameHeader::kMaxPayload)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(rig.server->stats().dispatch_errors, 1u);
+
+  // The connection stayed in step: the next call is served on it.
+  const auto [n, text] = as::decode<long long, std::string>(
+      mw.invoke(blob, "make", as::encode(mw.wire_format(), 3LL)),
+      mw.wire_format());
+  EXPECT_EQ(text, "xxx");
+  EXPECT_EQ(mw.net_counters().connects, 1u);
+  EXPECT_EQ(mw.net_counters().reconnects, 0u);
 }
 
 // --- one counter mechanism --------------------------------------------------

@@ -159,13 +159,11 @@ TEST(TcpConcurrency, HybridRoutesAcrossTwoTcpBackendsWithStatParity) {
   net::TcpMiddleware::Options verbose_opts;
   verbose_opts.endpoints = {{"127.0.0.1", rig.server->port()}};
   verbose_opts.format = as::Format::kVerbose;
-  verbose_opts.name = "TCP-verbose";
   net::TcpMiddleware control(verbose_opts);
 
   net::TcpMiddleware::Options compact_opts;
   compact_opts.endpoints = {{"127.0.0.1", rig.server->port()}};
   compact_opts.format = as::Format::kCompact;
-  compact_opts.name = "TCP-compact";
   net::TcpMiddleware fast(compact_opts);
 
   ac::HybridMiddleware hybrid(control, fast, {"add"});

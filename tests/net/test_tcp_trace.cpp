@@ -166,9 +166,8 @@ TEST(TcpTrace, TelemetryFlushDrainsTheTraceBuffer) {
 TEST(TcpTrace, ChaosDroppedFrameLeavesNoOpenSpans) {
   APAR_REQUIRE_LOOPBACK();
   TracingOn tracing;
-  net::TcpServer::Options sopts;
-  sopts.chaos_drop_frames = 1;  // "lose" the first request entirely
-  TcpRig rig(as::Format::kCompact, sopts);
+  // The front "loses" the first request entirely.
+  TcpRig rig(as::Format::kCompact, {}, /*drop_frames=*/1);
   auto& mw = *rig.middleware;
 
   obs::SpanScope root;

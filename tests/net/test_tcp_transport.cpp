@@ -1,6 +1,7 @@
 // End-to-end transport behaviour over real loopback sockets: round trips
 // in both wire formats, name service, error propagation, deadlines,
-// retry-after-drop and server kill/restart.
+// retry-after-drop and its budget, the frame limit on requests, and
+// server kill/restart.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -162,10 +163,9 @@ TEST(TcpTransport, WireCountersAreExportedPerEndpoint) {
 
 TEST(TcpTransport, StalledServerHitsClientDeadlineNotAHang) {
   APAR_REQUIRE_LOOPBACK();
-  net::TcpServer::Options sopts;
-  sopts.chaos_stall_frames = 1;
-  sopts.chaos_stall_ms = std::chrono::milliseconds(2000);
-  TcpRig rig(as::Format::kCompact, sopts);
+  TcpRig rig;
+  const auto sleeper =
+      rig.middleware->create(0, "Sleeper", as::encode(as::Format::kCompact));
 
   net::TcpMiddleware::Options mopts;
   mopts.endpoints = {{"127.0.0.1", rig.server->port()}};
@@ -174,8 +174,7 @@ TEST(TcpTransport, StalledServerHitsClientDeadlineNotAHang) {
 
   const auto started = std::chrono::steady_clock::now();
   try {
-    fast_deadline.create(0, "Counter",
-                         as::encode(mopts.format, 0LL));
+    fast_deadline.invoke(sleeper, "nap", as::encode(mopts.format, 2000LL));
     FAIL() << "expected NetError{kTimeout}";
   } catch (const net::NetError& e) {
     EXPECT_EQ(e.kind(), net::NetError::Kind::kTimeout);
@@ -228,9 +227,8 @@ TEST(TcpTransport, BytesAfterTheReplyFrameAreAProtocolError) {
 
 TEST(TcpTransport, LookupRetriesThroughDroppedReplies) {
   APAR_REQUIRE_LOOPBACK();
-  net::TcpServer::Options sopts;
-  sopts.chaos_drop_frames = 2;  // server eats the first two requests
-  TcpRig rig(as::Format::kCompact, sopts);
+  // The front eats the first two requests.
+  TcpRig rig(as::Format::kCompact, {}, /*drop_frames=*/2);
   auto& mw = *rig.middleware;
 
   // Looking up an unbound name still proves the retry loop: the call
@@ -240,22 +238,51 @@ TEST(TcpTransport, LookupRetriesThroughDroppedReplies) {
   // Each dropped reply killed a connection, so two reconnect dials.
   EXPECT_EQ(mw.net_counters().connects, 3u);
   EXPECT_EQ(mw.net_counters().reconnects, 2u);
-  EXPECT_EQ(rig.server->stats().chaos_dropped, 2u);
+  EXPECT_EQ(rig.front->dropped(), 2u);
+}
+
+TEST(TcpTransport, LookupGivesUpWhenItsRetryBudgetIsSpent) {
+  APAR_REQUIRE_LOOPBACK();
+  // TcpMiddleware's budget: 3 retries, after 10, 20 and 40 ms.
+  constexpr std::uint64_t kMaxLookupRetries = 3;
+  TcpRig rig(as::Format::kCompact, {}, kMaxLookupRetries + 1);
+  auto& mw = *rig.middleware;
+
+  const auto started = std::chrono::steady_clock::now();
+  try {
+    (void)mw.lookup("PS1");
+    FAIL() << "expected NetError{kClosed}";
+  } catch (const net::NetError& e) {
+    EXPECT_EQ(e.kind(), net::NetError::Kind::kClosed) << e.what();
+  }
+  EXPECT_GE(std::chrono::steady_clock::now() - started,
+            std::chrono::milliseconds(10 + 20 + 40));
+  EXPECT_EQ(mw.net_counters().retries, kMaxLookupRetries);
+  EXPECT_EQ(rig.front->dropped(), kMaxLookupRetries + 1);
 }
 
 TEST(TcpTransport, ConcurrentFirstDialsAreNotReconnects) {
   APAR_REQUIRE_LOOPBACK();
-  net::TcpServer::Options sopts;
-  sopts.chaos_stall_frames = 4;  // each first call holds its connection
-  sopts.chaos_stall_ms = std::chrono::milliseconds(100);
-  TcpRig rig(as::Format::kCompact, sopts);
+  TcpRig rig;
   auto& mw = *rig.middleware;
+  // One sleeper per thread, made on the server: the middleware has dialed
+  // nothing yet, and no nap waits for another's monitor.
+  const auto no_args = as::encode(as::Format::kCompact);
+  std::vector<ac::RemoteHandle> sleepers;
+  for (int t = 0; t < 4; ++t) {
+    as::Reader args(no_args.data(), no_args.size(), as::Format::kCompact);
+    sleepers.push_back({0, rig.server->dispatcher().create("Sleeper", args)});
+  }
 
-  // Four threads make their first calls at once, so none can reuse
-  // another's connection: four dials, and nothing was lost to replace.
+  // Four threads make their first calls at once, and each holds its
+  // connection for 100 ms, so none can reuse another's connection: four
+  // dials, and nothing was lost to replace.
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t)
-    threads.emplace_back([&mw] { EXPECT_FALSE(mw.lookup("PS1").has_value()); });
+  for (const ac::RemoteHandle& sleeper : sleepers)
+    threads.emplace_back([&mw, sleeper] {
+      mw.invoke(sleeper, "nap", as::encode(mw.wire_format(), 100LL));
+      EXPECT_FALSE(mw.lookup("PS1").has_value());
+    });
   for (auto& t : threads) t.join();
   EXPECT_EQ(mw.net_counters().connects, 4u);
   EXPECT_EQ(mw.net_counters().reconnects, 0u);
@@ -263,9 +290,7 @@ TEST(TcpTransport, ConcurrentFirstDialsAreNotReconnects) {
 
 TEST(TcpTransport, NonIdempotentCallsDoNotRetry) {
   APAR_REQUIRE_LOOPBACK();
-  net::TcpServer::Options sopts;
-  sopts.chaos_drop_frames = 1;
-  TcpRig rig(as::Format::kCompact, sopts);
+  TcpRig rig(as::Format::kCompact, {}, /*drop_frames=*/1);
   auto& mw = *rig.middleware;
   // The dropped create surfaces as NetError{kClosed}: executing it twice
   // behind the caller's back could double-place an object.
@@ -276,6 +301,40 @@ TEST(TcpTransport, NonIdempotentCallsDoNotRetry) {
     EXPECT_EQ(e.kind(), net::NetError::Kind::kClosed);
   }
   EXPECT_EQ(mw.net_counters().retries, 0u);
+}
+
+TEST(TcpTransport, OversizeRequestFailsBeforeAnyByteIsSent) {
+  APAR_REQUIRE_LOOPBACK();
+  TcpRig rig;
+  auto& mw = *rig.middleware;
+  const auto handle =
+      mw.create(0, "Counter", as::encode(mw.wire_format(), 0LL));
+  const auto sent = mw.net_counters().wire_bytes_sent;
+
+  // Arguments alone as large as a frame may carry: with the envelope the
+  // request is over the limit, which the server would reject unread.
+  try {
+    mw.invoke(handle, "add",
+              std::vector<std::byte>(net::FrameHeader::kMaxPayload));
+    FAIL() << "expected NetError{kProtocol}";
+  } catch (const net::NetError& e) {
+    EXPECT_EQ(e.kind(), net::NetError::Kind::kProtocol) << e.what();
+    EXPECT_NE(std::string(e.what()).find(
+                  std::to_string(net::FrameHeader::kMaxPayload)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(mw.net_counters().wire_bytes_sent, sent);
+
+  // Nothing was sent, so the connection is still clean and is reused.
+  mw.invoke(handle, "add", as::encode(mw.wire_format(), 1LL));
+  const auto [value] = as::decode<long long>(
+      mw.invoke(handle, "get", as::encode(mw.wire_format())),
+      mw.wire_format());
+  EXPECT_EQ(value, 1);
+  EXPECT_EQ(mw.net_counters().connects, 1u);
+  EXPECT_EQ(mw.net_counters().reconnects, 0u);
+  EXPECT_EQ(rig.server->stats().protocol_errors, 0u);
 }
 
 TEST(TcpTransport, KilledServerSurfacesAsNetErrorWithinDeadline) {
