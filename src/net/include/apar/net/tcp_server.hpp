@@ -41,6 +41,18 @@ class TcpServer {
   /// Byte/frame accounting (ServerStats' fields), as a copyable snapshot.
   using Stats = ServerStats::Snapshot;
 
+  /// Objects a server hosts before it refuses a create with kReplyError.
+  /// The protocol has no destroy op, so without a cap a client looping on
+  /// creates would grow the server until it died. A sieve run creates one
+  /// filter per farm duplicate (4 in perfbench), and no test but the cap's
+  /// own hosts more than a dozen objects, so a long-lived sieve_server has
+  /// room for 16,384 such runs; a table full of small objects (the tests'
+  /// Counter) takes ~7.4 MB. The check runs before anything is
+  /// constructed but is not atomic with the insert: creates on the other
+  /// workers − 1 threads can pass it together, so the table may hold up to
+  /// workers − 1 objects more than this.
+  static constexpr std::size_t kMaxObjects = std::size_t{1} << 16;
+
   explicit TcpServer(const cluster::rpc::Registry& registry)
       : TcpServer(registry, Options{}) {}
   TcpServer(const cluster::rpc::Registry& registry, Options options);

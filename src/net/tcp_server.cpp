@@ -95,6 +95,10 @@ Frame TcpServer::process_request(const FrameHeader& header,
     EnvelopeReader env(payload.data(), body_size);
     switch (header.op) {
       case FrameHeader::Op::kCreate: {
+        if (dispatcher_.object_count() >= kMaxObjects)
+          throw cluster::rpc::RpcError(
+              dispatcher_.label() + ": object table full at " +
+              std::to_string(kMaxObjects) + " objects; create refused");
         const std::string class_name = env.string();
         serial::Reader args(env.rest_data(), env.rest_size(), header.format);
         const cluster::ObjectId oid = dispatcher_.create(class_name, args);

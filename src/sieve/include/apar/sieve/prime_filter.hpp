@@ -8,39 +8,45 @@
 
 namespace apar::sieve {
 
+class PrimeFilter;
+
 namespace detail {
 
-/// PrimeFilter's divisor table. An odd q divides m iff m · q⁻¹ mod 2^64 is
-/// at most floor((2^64 − 1) / q) (Granlund & Montgomery, PLDI 1994), so the
-/// odd base primes are stored, ascending, as those two numbers in two
-/// arrays. The arrays are padded to a multiple of kLanes entries with
-/// {inverse 1, limit 0}: a pad entry matches only m = 0, which the first
-/// real entry matches already, so a pad entry is never the first divisor.
-/// The prime 2 is a parity test, not an entry.
+/// PrimeFilter's divisor table. For m < 2^32, an odd q divides m iff
+/// m · q⁻¹ mod 2^32 is at most floor((2^32 − 1) / q) (Granlund &
+/// Montgomery, PLDI 1994), so the odd base primes are stored, ascending,
+/// as those two 32-bit numbers in two arrays; a prime of 2^32 or more,
+/// which divides no such m but 0, is stored as {1, 0}. The arrays are
+/// padded to a multiple of kLanes entries with {inverse 1, limit 0}: a pad
+/// entry matches only m = 0, which the first real entry matches already,
+/// so a pad entry is never the first divisor. The prime 2 is a parity
+/// test, not an entry.
 struct DivisorTable {
-  static constexpr std::size_t kLanes = 8;
+  static constexpr std::size_t kLanes = 16;
 
   bool two = false;     ///< 2 is a base prime: tested first, by parity
   std::size_t odd = 0;  ///< real entries; the arrays are padded past them
-  std::vector<std::uint64_t> inverse;  ///< q⁻¹ mod 2^64
-  std::vector<std::uint64_t> limit;    ///< floor((2^64 − 1) / q)
+  std::vector<std::uint32_t> inverse;  ///< q⁻¹ mod 2^32
+  std::vector<std::uint32_t> limit;    ///< floor((2^32 − 1) / q)
 };
 
 /// The loops `PrimeFilter::filter` chooses between, named so that tests
-/// can run each one. A loop appends the candidates of `pack` that no base
-/// prime divides to `survivors` and returns the trial divisions made:
-/// primes in ascending order up to the first divisor, each try counted.
-using FilterLoop = std::uint64_t (*)(const DivisorTable& table,
+/// can run each one. A loop appends the candidates of `pack` that none of
+/// `filter`'s base primes divides to `survivors` and returns the trial
+/// divisions made: primes in ascending order up to the first divisor,
+/// each try counted. A candidate of magnitude 2^32 or more, which only
+/// tests make, is divided by `filter.primes()` with `%` in either loop.
+using FilterLoop = std::uint64_t (*)(const PrimeFilter& filter,
                                      const std::vector<long long>& pack,
                                      std::vector<long long>& survivors);
 
-/// One table entry at a time: `m * inverse <= limit`.
-std::uint64_t filter_scalar(const DivisorTable& table,
+/// One table entry at a time: `uint32(m * inverse) <= limit`.
+std::uint64_t filter_scalar(const PrimeFilter& filter,
                             const std::vector<long long>& pack,
                             std::vector<long long>& survivors);
 
-/// Eight table entries per AVX-512 multiply and compare, or null when this
-/// build is not x86-64 or this CPU lacks AVX-512F or AVX-512DQ.
+/// Sixteen table entries per AVX-512F multiply and compare, or null when
+/// this build is not x86-64 or this CPU lacks AVX-512F.
 FilterLoop filter_avx512();
 
 }  // namespace detail
@@ -53,14 +59,16 @@ FilterLoop filter_avx512();
 ///
 /// `filter` is trial division without the divide instruction, over the
 /// `detail::DivisorTable` the constructor builds: a candidate's magnitude
-/// |c| is even iff 2 divides it, and an odd base prime q divides it iff
-/// |c| · q⁻¹ mod 2^64 <= floor((2^64 − 1) / q). On a CPU with AVX-512F and
-/// AVX-512DQ one vector multiply and one unsigned compare test |c| against
-/// 8 primes, and the lowest matching lane is the first divisor; elsewhere
-/// a scalar loop tests one prime per multiply. The CPU picks the loop once
-/// per process; nothing else selects it. Either loop counts the primes
-/// tried in ascending order up to the first divisor, so `ops()` still
-/// counts the trial divisions `%` would have made.
+/// |c| is even iff 2 divides it, and for |c| < 2^32 an odd base prime q
+/// divides it iff uint32(|c| · q⁻¹) <= floor((2^32 − 1) / q). On a CPU
+/// with AVX-512F one vector multiply and one unsigned compare test |c|
+/// against 16 primes, and the lowest matching lane is the first divisor;
+/// elsewhere a scalar loop tests one prime per multiply. The CPU picks the
+/// loop once per process; nothing else selects it. Every candidate a
+/// workload makes is below 2^32; a wider one is divided by the base
+/// primes with `%`. Either loop counts the primes tried in ascending order
+/// up to the first divisor, so `ops()` still counts the trial divisions
+/// `%` would have made.
 ///
 /// The third constructor argument is the *work model*: simulated
 /// nanoseconds charged per trial division actually performed. On the

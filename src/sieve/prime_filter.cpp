@@ -23,10 +23,28 @@ std::uint64_t magnitude(long long candidate) {
   return candidate < 0 ? 0 - bits : bits;
 }
 
+/// Whether the divisor table's 32-bit test holds for magnitude `m`.
+bool narrow(std::uint64_t m) {
+  return m <= std::numeric_limits<std::uint32_t>::max();
+}
+
+/// Index of the first odd base prime dividing `m`, by `%`, or `odd` when
+/// none does: the path of a candidate too wide for the table.
+std::size_t first_wide_divisor(const PrimeFilter& filter, std::uint64_t m) {
+  const DivisorTable& table = filter.divisor_table();
+  const long long* odd_primes = filter.primes().data() + (table.two ? 1 : 0);
+  std::size_t first = 0;
+  while (first < table.odd &&
+         m % static_cast<std::uint64_t>(odd_primes[first]) != 0)
+    ++first;
+  return first;
+}
+
 #if defined(__x86_64__)
-__attribute__((target("avx512f,avx512dq"))) std::uint64_t filter_8_lanes(
-    const DivisorTable& table, const std::vector<long long>& pack,
+__attribute__((target("avx512f"))) std::uint64_t filter_16_lanes(
+    const PrimeFilter& filter, const std::vector<long long>& pack,
     std::vector<long long>& survivors) {
+  const DivisorTable& table = filter.divisor_table();
   const std::size_t lanes = table.inverse.size();
   std::uint64_t divisions = 0;
   for (const long long candidate : pack) {
@@ -35,20 +53,24 @@ __attribute__((target("avx512f,avx512dq"))) std::uint64_t filter_8_lanes(
       ++divisions;
       if (m % 2 == 0) continue;
     }
-    const __m512i broadcast = _mm512_set1_epi64(static_cast<long long>(m));
-    std::size_t first = lanes;  // index of the first divisor
-    for (std::size_t i = 0; i < lanes; i += DivisorTable::kLanes) {
-      const __m512i product = _mm512_mullo_epi64(
-          broadcast, _mm512_loadu_si512(table.inverse.data() + i));
-      const __mmask8 divides = _mm512_cmple_epu64_mask(
-          product, _mm512_loadu_si512(table.limit.data() + i));
-      if (divides != 0) {
-        first = i + static_cast<std::size_t>(
-                        std::countr_zero(static_cast<unsigned>(divides)));
-        break;
+    std::size_t first = table.odd;  // index of the first divisor
+    if (!narrow(m)) {
+      first = first_wide_divisor(filter, m);
+    } else {
+      const __m512i broadcast = _mm512_set1_epi32(static_cast<int>(m));
+      for (std::size_t i = 0; i < lanes; i += DivisorTable::kLanes) {
+        const __m512i product = _mm512_mullo_epi32(
+            broadcast, _mm512_loadu_si512(table.inverse.data() + i));
+        const __mmask16 divides = _mm512_cmple_epu32_mask(
+            product, _mm512_loadu_si512(table.limit.data() + i));
+        if (divides != 0) {
+          first = i + static_cast<std::size_t>(
+                          std::countr_zero(static_cast<unsigned>(divides)));
+          break;
+        }
       }
     }
-    if (first == lanes) {
+    if (first == table.odd) {
       divisions += table.odd;
       survivors.push_back(candidate);
     } else {
@@ -61,9 +83,10 @@ __attribute__((target("avx512f,avx512dq"))) std::uint64_t filter_8_lanes(
 
 }  // namespace
 
-std::uint64_t filter_scalar(const DivisorTable& table,
+std::uint64_t filter_scalar(const PrimeFilter& filter,
                             const std::vector<long long>& pack,
                             std::vector<long long>& survivors) {
+  const DivisorTable& table = filter.divisor_table();
   std::uint64_t divisions = 0;
   for (const long long candidate : pack) {
     const std::uint64_t m = magnitude(candidate);
@@ -72,9 +95,15 @@ std::uint64_t filter_scalar(const DivisorTable& table,
       if (m % 2 == 0) continue;
     }
     std::size_t first = 0;  // index of the first divisor
-    while (first < table.odd &&
-           m * table.inverse[first] > table.limit[first])
-      ++first;
+    if (!narrow(m)) {
+      first = first_wide_divisor(filter, m);
+    } else {
+      const auto m32 = static_cast<std::uint32_t>(m);
+      while (first < table.odd &&
+             static_cast<std::uint32_t>(m32 * table.inverse[first]) >
+                 table.limit[first])
+        ++first;
+    }
     if (first == table.odd) {
       divisions += table.odd;
       survivors.push_back(candidate);
@@ -88,8 +117,7 @@ std::uint64_t filter_scalar(const DivisorTable& table,
 FilterLoop filter_avx512() {
 #if defined(__x86_64__)
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
-    return &filter_8_lanes;
+  if (__builtin_cpu_supports("avx512f")) return &filter_16_lanes;
 #endif
   return nullptr;
 }
@@ -111,13 +139,19 @@ PrimeFilter::PrimeFilter(long long pmin, long long pmax, double ns_per_op)
   for (auto it = first; it != all.end(); ++it) {
     primes_.push_back(*it);
     if (*it == 2) continue;
-    const auto q = static_cast<std::uint64_t>(*it);
+    if (!detail::narrow(static_cast<std::uint64_t>(*it))) {
+      // Divides no 32-bit magnitude but 0: an entry that matches only 0.
+      table_.inverse.push_back(1);
+      table_.limit.push_back(0);
+      continue;
+    }
+    const auto q = static_cast<std::uint32_t>(*it);
     // Newton's iteration x <- x(2 - qx) doubles the correct low bits; an
-    // odd q is its own inverse mod 8, so 3 -> 6 -> 12 -> 24 -> 48 -> 96.
-    std::uint64_t inverse = q;
-    for (int step = 0; step < 5; ++step) inverse *= 2 - q * inverse;
+    // odd q is its own inverse mod 8, so 3 -> 6 -> 12 -> 24 -> 48.
+    std::uint32_t inverse = q;
+    for (int step = 0; step < 4; ++step) inverse *= 2 - q * inverse;
     table_.inverse.push_back(inverse);
-    table_.limit.push_back(std::numeric_limits<std::uint64_t>::max() / q);
+    table_.limit.push_back(std::numeric_limits<std::uint32_t>::max() / q);
   }
   table_.inverse.resize(padded, 1);
   table_.limit.resize(padded, 0);
@@ -129,7 +163,7 @@ void PrimeFilter::filter(std::vector<long long>& pack) {
     return lanes != nullptr ? lanes : &detail::filter_scalar;
   }();
   scratch_.clear();
-  const std::uint64_t divisions = loop(table_, pack, scratch_);
+  const std::uint64_t divisions = loop(*this, pack, scratch_);
   pack = scratch_;
   ops_ += divisions;
   charge(divisions);

@@ -1,7 +1,7 @@
 // End-to-end transport behaviour over real loopback sockets: round trips
 // in both wire formats, name service, error propagation, deadlines,
-// retry-after-drop and its budget, the frame limit on requests, and
-// server kill/restart.
+// retry-after-drop and its budget, the frame limit on requests, the
+// object-table cap, and server kill/restart.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -335,6 +335,45 @@ TEST(TcpTransport, OversizeRequestFailsBeforeAnyByteIsSent) {
   EXPECT_EQ(mw.net_counters().connects, 1u);
   EXPECT_EQ(mw.net_counters().reconnects, 0u);
   EXPECT_EQ(rig.server->stats().protocol_errors, 0u);
+}
+
+TEST(TcpTransport, CreatePastTheObjectCapIsRefusedAndTheConnectionServes) {
+  APAR_REQUIRE_LOOPBACK();
+  TcpRig rig;
+  auto& mw = *rig.middleware;
+  const auto handle =
+      mw.create(0, "Counter", as::encode(mw.wire_format(), 5LL));
+
+  // Fill the table to the cap in-process: a wire round trip per object
+  // would take seconds.
+  auto& dispatcher = rig.server->dispatcher();
+  const auto args = as::encode(as::Format::kCompact, 0LL);
+  while (dispatcher.object_count() < net::TcpServer::kMaxObjects) {
+    as::Reader reader(args.data(), args.size(), as::Format::kCompact);
+    dispatcher.create("Counter", reader);
+  }
+
+  try {
+    mw.create(0, "Counter", as::encode(mw.wire_format(), 0LL));
+    FAIL() << "expected RpcError";
+  } catch (const ac::rpc::RpcError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  std::to_string(net::TcpServer::kMaxObjects)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(dispatcher.object_count(), net::TcpServer::kMaxObjects);
+  EXPECT_EQ(rig.server->stats().dispatch_errors, 1u);
+
+  // The refusal left the connection in step: an existing object is still
+  // served on it.
+  mw.invoke(handle, "add", as::encode(mw.wire_format(), 1LL));
+  const auto [value] = as::decode<long long>(
+      mw.invoke(handle, "get", as::encode(mw.wire_format())),
+      mw.wire_format());
+  EXPECT_EQ(value, 6);
+  EXPECT_EQ(mw.net_counters().connects, 1u);
+  EXPECT_EQ(mw.net_counters().reconnects, 0u);
 }
 
 TEST(TcpTransport, KilledServerSurfacesAsNetErrorWithinDeadline) {

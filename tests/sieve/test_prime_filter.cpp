@@ -58,14 +58,14 @@ void expect_loop_matches_reference(FilterLoop loop, const PrimeFilter& f,
   std::uint64_t reference_ops = 0;
   const auto expected = reference_filter(f, pack, reference_ops);
   std::vector<long long> survivors;
-  EXPECT_EQ(loop(f.divisor_table(), pack, survivors), reference_ops);
+  EXPECT_EQ(loop(f, pack, survivors), reference_ops);
   EXPECT_EQ(survivors, expected);
 }
 
-/// The CPU feature the AVX-512 loop needs and this host lacks.
+/// What the AVX-512 loop needs and this host lacks.
 std::string missing_avx512_feature() {
 #if defined(__x86_64__)
-  return __builtin_cpu_supports("avx512f") ? "AVX-512DQ" : "AVX-512F";
+  return "AVX-512F";
 #else
   return "an x86-64 build";
 #endif
@@ -248,9 +248,10 @@ TEST(PrimeFilterTest, FullSieveMatchesReference) {
 namespace {
 
 /// For each base prime p of `f`, p·Q and −p·Q with Q the first prime
-/// above 2^62 / p, so p is their only factor in the table and each is
-/// caught by p's own entry after every smaller prime has been tried; then
-/// the edge candidates.
+/// above 2^62 / p, so p is their only factor among the base primes and
+/// each is caught by p after every smaller prime has been tried; then the
+/// edge candidates. Every magnitude but 0 and 1 is 2^32 or more, so the
+/// loops take their wide path.
 std::vector<long long> table_entry_pack(const PrimeFilter& f) {
   std::vector<long long> pack;
   for (const long long p : f.primes()) {
@@ -264,6 +265,25 @@ std::vector<long long> table_entry_pack(const PrimeFilter& f) {
   for (const long long edge :
        {0LL, 1LL, -1LL, LLONG_MIN, LLONG_MAX, LLONG_MAX - 1})
     pack.push_back(edge);
+  return pack;
+}
+
+/// The least prime above 65,535: p · kNarrowQ < 2^32 for every p < 2^16.
+constexpr long long kNarrowQ = 65'537;
+
+/// For each base prime p of `f`, p·65,537 and its ±2 neighbours, each of
+/// either sign: 65,537 is prime and above every base prime, so p is the
+/// first divisor of ±p·65,537, caught by p's own table lane, while the
+/// neighbours exercise the lanes before and after it. All are below 2^32.
+std::vector<long long> narrow_entry_pack(const PrimeFilter& f) {
+  std::vector<long long> pack;
+  for (const long long p : f.primes()) {
+    const long long product = p * kNarrowQ;
+    for (const long long c : {product - 2, product, product + 2}) {
+      pack.push_back(c);
+      pack.push_back(-c);
+    }
+  }
   return pack;
 }
 
@@ -303,8 +323,8 @@ TEST(PrimeFilterTest, DivisorTableHoldsPaddedOddPrimes) {
     const bool two = !f.primes().empty() && f.primes().front() == 2;
     EXPECT_EQ(table.two, two);
     ASSERT_EQ(table.odd, f.primes().size() - (two ? 1 : 0));
-    const std::size_t lanes = sv::detail::DivisorTable::kLanes;
-    ASSERT_EQ(table.inverse.size(), (table.odd + lanes - 1) / lanes * lanes);
+    ASSERT_EQ(sv::detail::DivisorTable::kLanes, 16u);
+    ASSERT_EQ(table.inverse.size(), (table.odd + 15) / 16 * 16);
     ASSERT_EQ(table.limit.size(), table.inverse.size());
     for (std::size_t i = 0; i < table.inverse.size(); ++i) {
       if (i >= table.odd) {  // pad lane
@@ -312,9 +332,9 @@ TEST(PrimeFilterTest, DivisorTableHoldsPaddedOddPrimes) {
         EXPECT_EQ(table.limit[i], 0u) << i;
         continue;
       }
-      const auto q = static_cast<std::uint64_t>(f.primes()[i + (two ? 1 : 0)]);
-      EXPECT_EQ(q * table.inverse[i], 1u) << q;
-      EXPECT_EQ(table.limit[i], UINT64_MAX / q) << q;
+      const auto q = static_cast<std::uint32_t>(f.primes()[i + (two ? 1 : 0)]);
+      EXPECT_EQ(static_cast<std::uint32_t>(q * table.inverse[i]), 1u) << q;
+      EXPECT_EQ(table.limit[i], UINT32_MAX / q) << q;
     }
   }
 }
@@ -332,7 +352,7 @@ FilterLoop scalar_loop() { return &sv::detail::filter_scalar; }
 
 /// Each of PrimeFilter's loops against `%`, not only the one this host's
 /// `filter` picks: the scalar loop everywhere, the AVX-512 loop where the
-/// CPU has AVX-512F and AVX-512DQ.
+/// CPU has AVX-512F.
 class PrimeFilterLoop : public ::testing::TestWithParam<LoopCase> {
  protected:
   void SetUp() override {
@@ -350,7 +370,16 @@ class PrimeFilterLoop : public ::testing::TestWithParam<LoopCase> {
 TEST_P(PrimeFilterLoop, EveryTableEntryMatchesModulo) {
   PrimeFilter f(2, 65'535);
   ASSERT_EQ(f.primes().size(), 6'542u);
-  expect_loop_matches_reference(loop_, f, table_entry_pack(f));
+  // Every entry through the lanes and through the wide path, in one pack
+  // that switches between the two.
+  const auto narrow = narrow_entry_pack(f);
+  const auto wide = table_entry_pack(f);
+  std::vector<long long> pack;
+  for (std::size_t i = 0; i < narrow.size(); ++i) {
+    pack.push_back(narrow[i]);
+    if (i < wide.size()) pack.push_back(wide[i]);
+  }
+  expect_loop_matches_reference(loop_, f, pack);
 }
 
 TEST_P(PrimeFilterLoop, SeededPacksMatchModulo) {
@@ -364,7 +393,8 @@ TEST_P(PrimeFilterLoop, SeededPacksMatchModulo) {
 }
 
 TEST_P(PrimeFilterLoop, OddPrimeCountsOnAndOffTheLaneWidth) {
-  // 16 odd primes fill two lanes of 8 exactly; 17 leave 7 pad lanes.
+  // 16 odd primes fill one vector of 16 lanes exactly; 17 leave 15 pad
+  // lanes.
   for (const auto& [pmin, pmax, odd] :
        {std::tuple{2LL, 59LL, 16u}, std::tuple{3LL, 59LL, 16u},
         std::tuple{2LL, 61LL, 17u}, std::tuple{3LL, 61LL, 17u}}) {
@@ -387,7 +417,15 @@ TEST_P(PrimeFilterLoop, OnlyThePrimeTwo) {
 }
 
 TEST_P(PrimeFilterLoop, EdgeCandidatesInEveryShapeOfTable) {
-  const std::vector<long long> edges{0, 1, -1, LLONG_MIN, LLONG_MAX};
+  // Either side of the table's width: 2^32 − 1 = 3·5·17·257·65,537 is
+  // the widest magnitude the lanes test, 2^32 the narrowest one the wide
+  // path does, and 2^32 + 1 = 641·6,700,417. Without 2 in the table, 2^32
+  // survives: it must not reach the lanes, where its low 32 bits (0)
+  // would match the first entry.
+  constexpr long long kTwo32 = 1LL << 32;
+  const std::vector<long long> edges{
+      0,          1,      -1,      LLONG_MIN,  LLONG_MAX,  kTwo32 - 1,
+      1 - kTwo32, kTwo32, -kTwo32, kTwo32 + 1, -kTwo32 - 1};
   for (const auto& [pmin, pmax] :
        {std::pair{2LL, 1'739LL}, std::pair{3LL, 1'739LL}, std::pair{2LL, 2LL},
         std::pair{2LL, 59LL}, std::pair{3LL, 61LL}, std::pair{8LL, 10LL}}) {

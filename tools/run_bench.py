@@ -12,8 +12,9 @@ than trusting the binary's aggregate rows, so partial runs and filters
 behave predictably. The output records enough machine context (cores,
 load, date from the benchmark's own header) to keep numbers honest when
 they are quoted in EXPERIMENTS.md, and at its top level, as --net does,
-the host's core count (`nproc`) and the build type of the binary's build
-directory (`build_type`).
+the host's core count (`nproc`), its CPU (`cpu`: the `model name`, `cpu
+family` and `model` lines of /proc/cpuinfo, null where that file does not
+exist) and the build type of the binary's build directory (`build_type`).
 
 With --net the flow is different: instead of a google-benchmark binary it
 drives examples/sieve_server + tools/loadgen and writes BENCH_net.json:
@@ -32,7 +33,8 @@ Scenarios (full mode; --quick runs one small closed-loop round for CI):
 tools/check_net_bench.py validates the document and, with
 --require-ratio R, gates on the open-loop row having offered at least R x
 workers connections and completed every request it issued. The document
-records the host's core count and the build type of the binaries it ran.
+records the host's core count, its CPU and the build type of the binaries
+it ran.
 
 With --adapt it drives bench/adapt_scaling — the phase-shifting autonomic
 workload — and writes BENCH_adapt.json:
@@ -260,6 +262,22 @@ def run_loadgen(build, port, label, extra):
     return result
 
 
+def cpu_model():
+    """The `model name`, `cpu family` and `model` lines of /proc/cpuinfo's
+    first processor, or None where that file does not exist."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            lines = fh.read().split("\n\n", 1)[0].splitlines()
+    except OSError:
+        return None
+    cpu = {}
+    for line in lines:
+        key, _, value = line.partition(":")
+        if key.strip() in ("model name", "cpu family", "model"):
+            cpu[key.strip()] = value.strip()
+    return cpu
+
+
 def build_type(build):
     """CMAKE_BUILD_TYPE of a build directory ("" when unset). The cache may
     sit one level up, as in perfbench's .bench_build/aspectpar."""
@@ -349,7 +367,8 @@ def run_net(args):
             fh.write("\n")
         return
 
-    doc = {"nproc": os.cpu_count(), "build_type": build_type(args.build),
+    doc = {"nproc": os.cpu_count(), "cpu": cpu_model(),
+           "build_type": build_type(args.build),
            "workers": workers, "scenarios": scenarios}
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -379,8 +398,8 @@ def run_adapt(args):
     if proc.returncode != 0:
         raise SystemExit(f"adapt_scaling failed ({proc.returncode})")
     with open(args.out) as fh:
-        doc = {"nproc": os.cpu_count(), "build_type": build_type(args.build),
-               **json.load(fh)}
+        doc = {"nproc": os.cpu_count(), "cpu": cpu_model(),
+               "build_type": build_type(args.build), **json.load(fh)}
 
     if not args.quick:
         # Informational net leg: a closed-loop loadgen round against a
@@ -424,7 +443,7 @@ def main(argv):
         run_adapt(args)
         return
     doc, repetitions = run_benchmark(args)
-    results = {"nproc": os.cpu_count(),
+    results = {"nproc": os.cpu_count(), "cpu": cpu_model(),
                "build_type": build_type(os.path.dirname(args.binary)),
                **distill(doc, repetitions)}
     with open(args.out, "w") as fh:
