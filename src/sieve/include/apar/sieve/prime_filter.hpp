@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "apar/aop/signature.hpp"
@@ -12,6 +13,31 @@ class PrimeFilter;
 
 namespace detail {
 
+/// Allocates on a 64-byte boundary, so that each 16-lane load of the
+/// divisor table reads one cache line. `malloc` alone aligns to 16 bytes,
+/// and where in a line it put the arrays depended on what the process had
+/// allocated before: farm duplicates built in one process drew different
+/// offsets, and with the inverses off a line boundary the 16-lane loop
+/// ran ~15% slower.
+template <class T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlignment{64};
+
+  CacheLineAllocator() = default;
+  template <class U>
+  constexpr CacheLineAllocator(
+      const CacheLineAllocator<U>& /*other*/) noexcept {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlignment));
+  }
+  void deallocate(T* p, std::size_t /*n*/) noexcept {
+    ::operator delete(p, kAlignment);
+  }
+  bool operator==(const CacheLineAllocator& /*other*/) const = default;
+};
+
 /// PrimeFilter's divisor table. For m < 2^32, an odd q divides m iff
 /// m · q⁻¹ mod 2^32 is at most floor((2^32 − 1) / q) (Granlund &
 /// Montgomery, PLDI 1994), so the odd base primes are stored, ascending,
@@ -19,15 +45,16 @@ namespace detail {
 /// which divides no such m but 0, is stored as {1, 0}. The arrays are
 /// padded to a multiple of kLanes entries with {inverse 1, limit 0}: a pad
 /// entry matches only m = 0, which the first real entry matches already,
-/// so a pad entry is never the first divisor. The prime 2 is a parity
-/// test, not an entry.
+/// so a pad entry is never the first divisor. Both arrays start on a
+/// cache line. The prime 2 is a parity test, not an entry.
 struct DivisorTable {
   static constexpr std::size_t kLanes = 16;
+  using Array = std::vector<std::uint32_t, CacheLineAllocator<std::uint32_t>>;
 
   bool two = false;     ///< 2 is a base prime: tested first, by parity
   std::size_t odd = 0;  ///< real entries; the arrays are padded past them
-  std::vector<std::uint32_t> inverse;  ///< q⁻¹ mod 2^32
-  std::vector<std::uint32_t> limit;    ///< floor((2^32 − 1) / q)
+  Array inverse;  ///< q⁻¹ mod 2^32
+  Array limit;    ///< floor((2^32 − 1) / q)
 };
 
 /// The loops `PrimeFilter::filter` chooses between, named so that tests

@@ -60,9 +60,9 @@ __attribute__((target("avx512f"))) std::uint64_t filter_16_lanes(
       const __m512i broadcast = _mm512_set1_epi32(static_cast<int>(m));
       for (std::size_t i = 0; i < lanes; i += DivisorTable::kLanes) {
         const __m512i product = _mm512_mullo_epi32(
-            broadcast, _mm512_loadu_si512(table.inverse.data() + i));
+            broadcast, _mm512_load_si512(table.inverse.data() + i));
         const __mmask16 divides = _mm512_cmple_epu32_mask(
-            product, _mm512_loadu_si512(table.limit.data() + i));
+            product, _mm512_load_si512(table.limit.data() + i));
         if (divides != 0) {
           first = i + static_cast<std::size_t>(
                           std::countr_zero(static_cast<unsigned>(divides)));

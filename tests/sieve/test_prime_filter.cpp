@@ -339,6 +339,27 @@ TEST(PrimeFilterTest, DivisorTableHoldsPaddedOddPrimes) {
   }
 }
 
+// The 16-lane loop reads the arrays with aligned loads, one cache line
+// each. Filters of several sizes, built between allocations of odd sizes,
+// and a copy of one, so that `malloc`'s own 16-byte alignment would put
+// some of them mid-line.
+TEST(PrimeFilterTest, DivisorTableStartsOnACacheLine) {
+  std::vector<PrimeFilter> filters;
+  std::vector<std::vector<char>> spacers;
+  for (const long long pmax : {61LL, 1'732LL, 1'789LL, 65'535LL, 7LL}) {
+    spacers.emplace_back(static_cast<std::size_t>(pmax % 97) * 16 + 8);
+    filters.emplace_back(2, pmax);
+  }
+  filters.push_back(filters[1]);
+  for (const PrimeFilter& f : filters) {
+    const auto& table = f.divisor_table();
+    SCOPED_TRACE(std::to_string(table.inverse.size()) + " lanes");
+    ASSERT_FALSE(table.inverse.empty());
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(table.inverse.data()) % 64, 0u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(table.limit.data()) % 64, 0u);
+  }
+}
+
 namespace {
 
 struct LoopCase {
